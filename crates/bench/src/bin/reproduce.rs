@@ -602,8 +602,9 @@ fn parse_metrics(text: &str) -> std::collections::BTreeMap<String, f64> {
 /// `--json` emits). Every numeric cell present in both is checked with the
 /// generous CI tolerance: the current value must be at least **half** the
 /// baseline value (a cell regressing by more than 2× fails). Columns whose
-/// name ends in `_ms` are latencies, so the rule inverts into a ceiling:
-/// the current value must be at most **twice** the baseline. Either way a
+/// name ends in `_ms` are latencies, and columns named `…_over_…` are a
+/// cost relative to a reference cost, so for both the rule inverts into a
+/// ceiling: the current value must be at most **twice** the baseline. Either way a
 /// NaN cell (an unmeasured latency, a zero-committed throughput) fails
 /// closed. Cells, rows or figures missing from the baseline are skipped,
 /// so the baseline only pins what it names. Returns the number of cells
@@ -650,16 +651,16 @@ fn check_baseline(path: &std::path::Path, figures: &[Figure]) -> Result<usize, V
                 checked += 1;
                 // `<` would silently pass on NaN; an unparseable cell must
                 // fail the gate, not sneak through it.
-                if col.ends_with("_ms") {
-                    // Latency column: gate as a ceiling.
+                if col.ends_with("_ms") || col.contains("_over_") {
+                    // Latency or relative-cost column: gate as a ceiling.
                     let holds = matches!(
                         current_value.partial_cmp(&(base_value * 2.0)),
                         Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
                     );
                     if !holds {
                         problems.push(format!(
-                            "{} [{label} × {col}]: {current_value:.1} ms is above twice \
-                             the baseline ceiling {base_value:.1} ms",
+                            "{} [{label} × {col}]: {current_value:.1} is above twice \
+                             the baseline ceiling {base_value:.1}",
                             base.id
                         ));
                     }

@@ -2124,28 +2124,19 @@ mod tests {
                 break;
             }
         }
-        if !disconnected {
-            // The submits all got in before the reset surfaced; the next
-            // read must observe the disconnect rather than a reply burst
-            // that a draining client would see.
-            hog.stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .expect("timeout");
-            let mut sink = [0u8; 64 * 1024];
-            let mut drained = 0usize;
-            loop {
-                match hog.stream.read(&mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => drained += n,
-                }
-            }
-            // Everything buffered before the cut arrives, but the stream
-            // must end (EOF/reset) instead of serving all replies.
-            assert!(
-                drained < 4_000 * 512 * 8,
-                "site never disconnected the non-draining client"
-            );
+        // The submits can all get in before the worker has produced enough
+        // replies to overflow the cap. Keep not reading: every poll asks for
+        // one more reply the site has to queue, so the cut must come, and
+        // the write after it fails.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !disconnected && Instant::now() < deadline {
+            disconnected = hog.send_poll().is_err();
+            std::thread::sleep(Duration::from_millis(1));
         }
+        assert!(
+            disconnected,
+            "site never disconnected the non-draining client"
+        );
         // The site survived and still serves a well-behaved client.
         let mut ok = TcpClient::connect_retry(addrs[0], Duration::from_secs(5)).expect("connect");
         ok.submit_batch(&[SiteOp::Increment {

@@ -1211,14 +1211,14 @@ impl SiteWorker {
                 return true;
             }
         }
-        let txn = programs.transactions()[index].clone();
+        let txn = &programs.transactions()[index];
         // Pre-images of the may-write set, for the violation rollback.
         let pre: Vec<(ObjId, i64)> = txn
             .write_set()
             .iter()
             .map(|obj| (obj.clone(), self.engine.peek(obj.as_str())))
             .collect();
-        let result = match run_on_engine(&self.engine, &txn, &[]) {
+        let result = match run_on_engine(&self.engine, txn, &[]) {
             Ok(result) => result,
             Err(_) => {
                 self.completed.push(OpOutcome::unsupported());
@@ -1231,7 +1231,6 @@ impl SiteWorker {
             return true;
         }
         let view = Database::from_pairs(self.engine.snapshot());
-        let programs = self.programs.as_ref().expect("registered above");
         if programs.local_holds(self.site, &view) {
             self.stats.local_commits += 1;
             self.completed.push(OpOutcome::local_commit());
@@ -1385,8 +1384,8 @@ impl SiteWorker {
             return 0;
         };
         if let Some(index) = txn {
-            if let Some(t) = programs.transactions().get(index as usize).cloned() {
-                if let Ok(result) = run_on_engine(&self.engine, &t, &[]) {
+            if let Some(t) = programs.transactions().get(index as usize) {
+                if let Ok(result) = run_on_engine(&self.engine, t, &[]) {
                     if result.committed {
                         for (obj, value) in &result.writes {
                             global.set(obj.clone(), *value);

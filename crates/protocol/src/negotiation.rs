@@ -451,6 +451,74 @@ mod tests {
         }
     }
 
+    /// Cold at base 40, then warm down a draining counter's bases (lower
+    /// bound 1, uniform hints): the allowances of every warm round.
+    fn draining_chain(sites: usize) -> Vec<Vec<i64>> {
+        use crate::optimizer::OptimizerConfig;
+        let mode = ReplicatedMode::Homeostasis {
+            optimizer: Some(OptimizerConfig {
+                lookahead: 10,
+                futures: 2,
+                seed: 21,
+            }),
+        };
+        let hints = WorkloadHints::uniform(sites);
+        let mut cache = NegotiationCache::new();
+        let mut negotiate = |base: i64, previous: Option<&[i64]>| {
+            let timer = Timer::fixed_zero();
+            negotiate_allowances_cached(mode, &hints, sites, base, 1, timer, &mut cache, previous).0
+        };
+        let mut previous = negotiate(40, None);
+        [30i64, 22, 16, 11, 7, 4, 2]
+            .iter()
+            .map(|base| {
+                previous = negotiate(*base, Some(&previous));
+                let (consumed, headroom) = (previous.iter().map(|a| -a).sum::<i64>(), base - 1);
+                assert!(consumed <= headroom, "base {base}: {previous:?}");
+                previous.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn allowance_chains_are_pinned_to_the_unpruned_solver() {
+        // Recorded from the last commit whose solver kept every dominated
+        // row: a kernel that changes a treaty changes one of these.
+        let two: [[i64; 2]; 7] = [
+            [-14, -15],
+            [-10, -11],
+            [-7, -8],
+            [-4, -6],
+            [-3, -3],
+            [-1, -2],
+            [0, -1],
+        ];
+        assert_eq!(draining_chain(2), two);
+        let four: [[i64; 4]; 7] = [
+            [-6, -7, -7, -9],
+            [-4, -5, -5, -7],
+            [-3, -4, -4, -4],
+            [-2, -3, -2, -3],
+            [-1, -2, -1, -2],
+            [0, -1, -1, -1],
+            [0, 0, 0, -1],
+        ];
+        assert_eq!(draining_chain(4), four);
+    }
+
+    #[test]
+    fn many_site_counters_negotiate_within_the_test_budget() {
+        // Seconds per round at five sites, in release, while elimination
+        // multiplied a counter's parallel bounds; now an unoptimized build
+        // drains the whole chain at eight. `draining_chain` checks that no
+        // round oversubscribes its headroom.
+        for sites in [5, 8] {
+            let chain = draining_chain(sites);
+            assert!(chain.iter().all(|round| round.len() == sites));
+            assert!(chain.iter().flatten().all(|a| *a <= 0));
+        }
+    }
+
     #[test]
     fn warm_candidate_never_oversubscribes() {
         let vars: Vec<VarName> = (0..3).map(|k| format!("c0@{k}")).collect();

@@ -295,8 +295,8 @@ impl ProgramSet {
             Some(cfg) => {
                 // Workload model: pick one of the registered transactions
                 // uniformly at random and apply it through direct evaluation.
-                let transactions = self.transactions.clone();
-                let mut model = move |current: &Database, rng: &mut homeo_sim::DetRng| {
+                let transactions = &self.transactions;
+                let mut model = |current: &Database, rng: &mut homeo_sim::DetRng| {
                     let idx = rng.index(transactions.len());
                     match homeo_lang::Evaluator::eval(&transactions[idx], current, &[]) {
                         Ok(out) => out.database,

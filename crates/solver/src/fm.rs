@@ -12,6 +12,7 @@
 //!    (`e < 0  ⇒  e + 1 ≤ 0`),
 //! 2. equalities are removed by Gaussian substitution,
 //! 3. remaining inequalities are reduced by Fourier–Motzkin elimination,
+//!    dropping dominated rows before each step (below),
 //! 4. if the constant residue is consistent, a model is rebuilt by
 //!    back-substitution, preferring integer witnesses.
 //!
@@ -20,6 +21,25 @@
 //! (which covers every constraint system the homeostasis pipeline produces);
 //! in the remaining corner cases the result is reported as rationally
 //! feasible only.
+//!
+//! # The dominance invariant
+//!
+//! Row `r` *dominates* row `s` when both have the same term vector and
+//! `r`'s constant is at least `s`'s: `t + c_r ≤ 0` implies `t + c_s ≤ 0`.
+//! Before a variable is eliminated, only the non-dominated rows mentioning
+//! it are kept, so a treaty's many parallel bounds on one configuration
+//! variable (one per sampled state) cost one row, and the work is a sum over
+//! variables where unpruned elimination builds a product.
+//!
+//! Pruning changes neither the answer nor the model. A combination of a
+//! lower with an upper row has terms fixed by the pair's term vectors and a
+//! constant that grows with either constant, so every combination involving
+//! a dominated row is itself dominated by the combination of the dominating
+//! rows: the non-dominated rows, and with them the constant residue that
+//! decides feasibility, are the same at every step. And back-substitution
+//! takes the largest lower and the smallest upper bound on a variable, each
+//! attained by a non-dominated row, because among rows with equal terms the
+//! largest constant gives the tightest bound.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -127,6 +147,20 @@ struct RatLe {
     expr: RatExpr,
 }
 
+/// Keeps, of every set of rows with equal terms, the one with the largest
+/// constant (see the module docs). A sort, so a handful of rows cost next to
+/// nothing.
+fn prune_dominated(rows: &mut Vec<RatLe>) {
+    if rows.len() < 2 {
+        return;
+    }
+    rows.sort_by(|a, b| {
+        let by_terms = a.expr.terms.cmp(&b.expr.terms);
+        by_terms.then_with(|| b.expr.constant.cmp(&a.expr.constant))
+    });
+    rows.dedup_by(|later, kept| later.expr.terms == kept.expr.terms);
+}
+
 /// Checks the feasibility of a conjunction of linear constraints over the
 /// integers and extracts a model when possible.
 pub fn check_feasible(constraints: &[LinearConstraint]) -> Feasibility {
@@ -193,9 +227,10 @@ pub fn check_feasible(constraints: &[LinearConstraint]) -> Feasibility {
     let mut elimination_stack: Vec<(VarName, Vec<RatLe>)> = Vec::new();
 
     for v in vars.iter() {
-        let (mentioning, rest): (Vec<RatLe>, Vec<RatLe>) =
+        let (mut mentioning, rest): (Vec<RatLe>, Vec<RatLe>) =
             les.drain(..).partition(|le| !le.expr.coeff(v).is_zero());
         les = rest;
+        prune_dominated(&mut mentioning);
         // Lower bounds: coefficient < 0 (v ≥ ...); upper bounds: coefficient > 0.
         let lowers: Vec<&RatLe> = mentioning
             .iter()
@@ -525,5 +560,37 @@ mod tests {
         // Making the cap too small flips it to infeasible (6 * 1 < 10).
         cs.push(LinearConstraint::le(var("x6"), num(1)));
         assert!(!is_feasible(&cs));
+    }
+
+    #[test]
+    fn parallel_bounds_cost_a_sum_not_a_product() {
+        // A counter treaty at eight sites: twenty upper bounds per
+        // configuration variable (one per sampled state) and one coupling
+        // row. Unpruned elimination builds 20^k rows at the k-th variable;
+        // the answer is the one the tightest bounds alone give.
+        let sites = 8;
+        let mut all = Vec::new();
+        let mut tightest = Vec::new();
+        let mut sum = LinExpr::zero();
+        for k in 0..sites {
+            let c = var(&format!("c@{k}"));
+            sum = sum.plus(&c);
+            for state in 0..20 {
+                all.push(LinearConstraint::le(
+                    c.clone(),
+                    num(10 + (state * 7 + k) % 20),
+                ));
+            }
+            tightest.push(LinearConstraint::le(c, num(10)));
+        }
+        for floor in [70, 80, 81] {
+            let coupling = LinearConstraint::ge(sum.clone(), num(floor));
+            all.push(coupling.clone());
+            tightest.push(coupling);
+            assert_eq!(check_feasible(&all), check_feasible(&tightest));
+            assert_eq!(is_feasible(&all), floor <= 80);
+            all.pop();
+            tightest.pop();
+        }
     }
 }

@@ -29,6 +29,8 @@ pub mod linear;
 pub mod maxsat;
 pub mod maxsmt;
 pub mod rational;
+#[cfg(test)]
+mod reference;
 pub mod sat;
 
 pub use fm::{check_feasible, Feasibility};

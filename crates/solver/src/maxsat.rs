@@ -31,13 +31,16 @@ pub struct MaxSatResult {
     pub satisfied_soft: Vec<usize>,
 }
 
-/// Fu-Malik partial MaxSAT solver.
+/// Fu-Malik partial MaxSAT solver. One engine serves a whole sequence of
+/// instances (the MaxSMT lemma loop solves one per learned lemma) and keeps
+/// its SAT solver's scratch between them.
 #[derive(Debug, Default)]
 pub struct FuMalik {
     /// Number of SAT calls made by the last `solve`.
     pub sat_calls: usize,
     /// Number of core-relaxation rounds performed by the last `solve`.
     pub rounds: usize,
+    solver: DpllSolver,
 }
 
 impl FuMalik {
@@ -59,12 +62,11 @@ impl FuMalik {
                 .unwrap_or(0),
         );
 
-        let mut solver = DpllSolver::new();
         // Hard clauses must be satisfiable on their own.
         let mut working = hard.clone();
         working.num_vars = working.num_vars.max(original_vars);
         self.sat_calls += 1;
-        if !solver.solve(&working).is_sat() {
+        if !self.solver.is_sat_with_assumptions(&working, &[]) {
             return None;
         }
 
@@ -84,7 +86,7 @@ impl FuMalik {
         let mut cost = 0usize;
         loop {
             self.sat_calls += 1;
-            match solver.solve_with_assumptions(&working, &selectors) {
+            match self.solver.solve_with_assumptions(&working, &selectors) {
                 SatResult::Sat(model) => {
                     let satisfied_soft = soft
                         .iter()
@@ -109,7 +111,7 @@ impl FuMalik {
                     cost += 1;
                     // Find a minimal core among the selector assumptions.
                     self.sat_calls += selectors.len() + 1;
-                    let core = solver.minimal_core(&working, &selectors);
+                    let core = self.solver.minimal_core(&working, &selectors);
                     if core.is_empty() {
                         // Hard clauses became unsatisfiable, which cannot
                         // happen since we only ever add relaxations.
@@ -194,19 +196,17 @@ mod tests {
 
     #[test]
     fn at_most_one_interaction() {
-        // Hard: at most one of x0, x1, x2. Soft: each of them. Best cost = 2.
-        let mut hard = Cnf::new(3);
-        hard.add_at_most_one(&[lit(0, true), lit(1, true), lit(2, true)]);
-        let soft = vec![
-            Clause::new([lit(0, true)]),
-            Clause::new([lit(1, true)]),
-            Clause::new([lit(2, true)]),
-        ];
-        let res = FuMalik::new().solve(&hard, &soft).unwrap();
-        assert_eq!(res.cost, 2);
-        assert_eq!(res.satisfied_soft.len(), 1);
-        let trues = res.model.iter().filter(|b| **b).count();
-        assert_eq!(trues, 1);
+        // Hard: at most one of x0..xn. Soft: each of them. Best cost = n - 1.
+        for n in [3, 6] {
+            let mut hard = Cnf::new(n);
+            hard.add_at_most_one(&(0..n).map(Literal::pos).collect::<Vec<_>>());
+            let soft: Vec<Clause> = (0..n).map(|v| Clause::new([Literal::pos(v)])).collect();
+            let res = FuMalik::new().solve(&hard, &soft).unwrap();
+            assert_eq!(res.cost, n - 1);
+            assert_eq!(res.satisfied_soft.len(), 1);
+            let trues = res.model.iter().filter(|b| **b).count();
+            assert_eq!(trues, 1);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::fm::{check_feasible, Feasibility};
 use crate::linear::{LinearConstraint, VarName};
 use crate::maxsat::FuMalik;
-use crate::sat::{Clause, Cnf, Literal};
+use crate::sat::{deletion_core, Clause, Cnf, Literal};
 
 /// A soft group: a conjunction of linear constraints that should ideally hold
 /// together (e.g. "no treaty violation in sampled future database Dⱼ").
@@ -46,7 +46,15 @@ pub struct MaxSmtResult {
     pub cost: usize,
     /// Number of theory lemmas (blocking clauses) learned.
     pub lemmas: usize,
+    /// True when the search hit its lemma bound and gave up: `selected` is
+    /// then empty (the hard constraints alone), not a maximum.
+    pub gave_up: bool,
 }
+
+/// Safety bound on the lemma loop: each iteration learns a new blocking
+/// clause over the selectors, so 2^n is a hard ceiling; in practice a handful
+/// suffice.
+const MAX_LEMMAS: usize = 10_000;
 
 /// Computes a maximum-cardinality subset of `soft_groups` that is jointly
 /// feasible with `hard`, together with an integer model.
@@ -56,96 +64,69 @@ pub fn max_feasible_subset(
     hard: &[LinearConstraint],
     soft_groups: &[SoftGroup],
 ) -> Option<MaxSmtResult> {
-    if !check_feasible(hard).is_feasible() {
-        return None;
-    }
-    let n = soft_groups.len();
-    let mut cnf = Cnf::new(n);
-    let soft_clauses: Vec<Clause> = (0..n).map(|j| Clause::new([Literal::pos(j)])).collect();
-    let mut lemmas = 0usize;
-
-    // Safety bound: each iteration learns a new blocking clause over the
-    // selectors, so 2^n is a hard ceiling; in practice a handful suffice.
-    let max_iterations = 10_000;
-    for _ in 0..max_iterations {
-        let mut engine = FuMalik::new();
-        let res = engine
-            .solve(&cnf, &soft_clauses)
-            .expect("selector abstraction is always satisfiable");
-        let selected: Vec<usize> = res.satisfied_soft.clone();
-
-        // Theory check on the selected groups.
-        let mut system: Vec<LinearConstraint> = hard.to_vec();
-        for &j in &selected {
-            system.extend(soft_groups[j].iter().cloned());
-        }
-        match check_feasible(&system) {
-            Feasibility::Feasible(model) => {
-                return Some(MaxSmtResult {
-                    cost: n - selected.len(),
-                    selected,
-                    model: Some(model),
-                    lemmas,
-                });
-            }
-            Feasibility::FeasibleRationalOnly => {
-                return Some(MaxSmtResult {
-                    cost: n - selected.len(),
-                    selected,
-                    model: None,
-                    lemmas,
-                });
-            }
-            Feasibility::Infeasible => {
-                // Shrink to a minimal infeasible subset of the selected
-                // groups (deletion-based), then block it.
-                let core = minimal_infeasible_subset(hard, soft_groups, &selected);
-                debug_assert!(!core.is_empty());
-                cnf.add_clause(Clause::new(core.iter().map(|&j| Literal::neg(j))));
-                lemmas += 1;
-            }
-        }
-    }
-    // Fall back to the hard-only solution if the iteration bound is ever hit.
-    let model = match check_feasible(hard) {
-        Feasibility::Feasible(m) => Some(m),
-        _ => None,
-    };
-    Some(MaxSmtResult {
-        selected: Vec::new(),
-        model,
-        cost: n,
-        lemmas,
-    })
+    search(hard, soft_groups, MAX_LEMMAS)
 }
 
-/// Deletion-based minimal infeasible subset of `candidate` group indices
-/// (relative to the always-included hard constraints).
-fn minimal_infeasible_subset(
+fn search(
     hard: &[LinearConstraint],
     soft_groups: &[SoftGroup],
-    candidate: &[usize],
-) -> Vec<usize> {
-    let feasible_with = |indices: &[usize]| -> bool {
+    max_lemmas: usize,
+) -> Option<MaxSmtResult> {
+    // The hard system on its own is solved once: it decides `None`, and its
+    // model is the answer should the lemma bound be hit.
+    let hard_only = match check_feasible(hard) {
+        Feasibility::Infeasible => return None,
+        Feasibility::Feasible(model) => Some(model),
+        Feasibility::FeasibleRationalOnly => None,
+    };
+    // The theory check: the hard constraints with the given groups.
+    let with_groups = |indices: &[usize]| {
         let mut system: Vec<LinearConstraint> = hard.to_vec();
         for &j in indices {
             system.extend(soft_groups[j].iter().cloned());
         }
-        check_feasible(&system).is_feasible()
+        check_feasible(&system)
     };
-    debug_assert!(!feasible_with(candidate));
-    let mut core: Vec<usize> = candidate.to_vec();
-    let mut i = 0;
-    while i < core.len() {
-        let mut smaller = core.clone();
-        smaller.remove(i);
-        if feasible_with(&smaller) {
-            i += 1;
-        } else {
-            core = smaller;
+    let n = soft_groups.len();
+    let mut cnf = Cnf::new(n);
+    let soft_clauses: Vec<Clause> = (0..n).map(|j| Clause::new([Literal::pos(j)])).collect();
+    let mut engine = FuMalik::new();
+
+    for lemmas in 0..max_lemmas {
+        let selected = engine
+            .solve(&cnf, &soft_clauses)
+            .expect("selector abstraction is always satisfiable")
+            .satisfied_soft;
+        match with_groups(&selected) {
+            Feasibility::Infeasible => {
+                // Shrink to a minimal infeasible subset of the selected
+                // groups (deletion-based), then block it.
+                let core = deletion_core(&selected, |subset| !with_groups(subset).is_feasible());
+                debug_assert!(!core.is_empty());
+                cnf.add_clause(Clause::new(core.iter().map(|&j| Literal::neg(j))));
+            }
+            feasible => {
+                return Some(MaxSmtResult {
+                    cost: n - selected.len(),
+                    selected,
+                    model: match feasible {
+                        Feasibility::Feasible(model) => Some(model),
+                        _ => None,
+                    },
+                    lemmas,
+                    gave_up: false,
+                });
+            }
         }
     }
-    core
+    // Fall back to the hard-only solution if the lemma bound is ever hit.
+    Some(MaxSmtResult {
+        selected: Vec::new(),
+        model: hard_only,
+        cost: n,
+        lemmas: max_lemmas,
+        gave_up: true,
+    })
 }
 
 #[cfg(test)]
@@ -244,6 +225,30 @@ mod tests {
         assert_eq!(res.selected, vec![1, 2]);
         let m = res.model.unwrap();
         assert!(m["a"] >= 4 && m["b"] >= 5 && m["a"] + m["b"] <= 10);
+    }
+
+    #[test]
+    fn hitting_the_lemma_bound_is_reported() {
+        // Two groups that exclude each other need one lemma; with a bound
+        // of one the search stops before it can use it.
+        let hard = vec![
+            LinearConstraint::ge(var("c"), num(0)),
+            LinearConstraint::le(var("c"), num(10)),
+        ];
+        let soft = vec![
+            vec![LinearConstraint::ge(var("c"), num(8))],
+            vec![LinearConstraint::le(var("c"), num(2))],
+        ];
+        let stopped = search(&hard, &soft, 1).unwrap();
+        assert!(stopped.gave_up);
+        assert!(stopped.selected.is_empty());
+        assert_eq!((stopped.cost, stopped.lemmas), (2, 1));
+        let m = stopped.model.expect("the hard constraints have a model");
+        assert!((0..=10).contains(&m["c"]));
+
+        let finished = max_feasible_subset(&hard, &soft).unwrap();
+        assert!(!finished.gave_up);
+        assert_eq!((finished.cost, finished.lemmas), (1, 1));
     }
 
     #[test]

@@ -40,6 +40,11 @@ impl Rational {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Self {
         assert!(den != 0, "rational with zero denominator");
+        // Integer fast path: treaty systems have unit coefficients, so almost
+        // every intermediate value is integral and needs no gcd.
+        if den == 1 {
+            return Rational { num, den };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let (num, den) = (num * sign, den * sign);
         let g = gcd(num, den).max(1);

@@ -182,13 +182,32 @@ pub struct DpllSolver {
     pub decisions: usize,
     /// Statistics: number of unit propagations in the last solve call.
     pub propagations: usize,
+    // Scratch kept across calls — a core extraction makes one call per soft
+    // clause, and none of them should allocate.
+    /// The current (partial) assignment, indexed by variable.
+    assignment: Vec<Value>,
+    /// Propagated variables, oldest first; each search level undoes its own
+    /// suffix.
+    trail: Vec<VarId>,
+    /// Occurrence counts for the branching heuristic.
+    counts: Vec<usize>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Value {
     Unassigned,
     True,
     False,
+}
+
+impl Value {
+    fn of(positive: bool) -> Self {
+        if positive {
+            Value::True
+        } else {
+            Value::False
+        }
+    }
 }
 
 impl DpllSolver {
@@ -205,21 +224,10 @@ impl DpllSolver {
     /// Solves the formula under the given assumption literals (treated as
     /// additional unit clauses).
     pub fn solve_with_assumptions(&mut self, cnf: &Cnf, assumptions: &[Literal]) -> SatResult {
-        self.decisions = 0;
-        self.propagations = 0;
-        let mut clauses: Vec<Vec<Literal>> =
-            cnf.clauses.iter().map(|c| c.literals.clone()).collect();
-        for a in assumptions {
-            clauses.push(vec![*a]);
-        }
-        let num_vars = cnf
-            .num_vars
-            .max(assumptions.iter().map(|a| a.var + 1).max().unwrap_or(0));
-        let mut assignment = vec![Value::Unassigned; num_vars];
-        if self.dpll(&clauses, &mut assignment) {
+        if self.is_sat_with_assumptions(cnf, assumptions) {
             SatResult::Sat(
-                assignment
-                    .into_iter()
+                self.assignment
+                    .iter()
                     .map(|v| matches!(v, Value::True))
                     .collect(),
             )
@@ -228,51 +236,68 @@ impl DpllSolver {
         }
     }
 
-    fn dpll(&mut self, clauses: &[Vec<Literal>], assignment: &mut Vec<Value>) -> bool {
+    /// Whether the formula is satisfiable under the assumptions (the verdict
+    /// of [`Self::solve_with_assumptions`] without its model).
+    pub fn is_sat_with_assumptions(&mut self, cnf: &Cnf, assumptions: &[Literal]) -> bool {
+        self.decisions = 0;
+        self.propagations = 0;
+        let num_vars = cnf
+            .num_vars
+            .max(assumptions.iter().map(|a| a.var + 1).max().unwrap_or(0));
+        self.assignment.clear();
+        self.assignment.resize(num_vars, Value::Unassigned);
+        self.trail.clear();
+        // An assumption is a unit clause, and unit propagation reaches the
+        // same fixpoint (or a conflict) in any order: assign them up front
+        // and the formula is never copied or extended.
+        for a in assumptions {
+            let wanted = Value::of(a.positive);
+            match self.assignment[a.var] {
+                Value::Unassigned => {
+                    self.assignment[a.var] = wanted;
+                    self.propagations += 1;
+                }
+                value if value == wanted => {}
+                _ => return false,
+            }
+        }
+        self.dpll(&cnf.clauses)
+    }
+
+    fn satisfies(&self, lit: &Literal) -> bool {
+        self.assignment[lit.var] == Value::of(lit.positive)
+    }
+
+    fn is_unassigned(&self, lit: &Literal) -> bool {
+        self.assignment[lit.var] == Value::Unassigned
+    }
+
+    /// Unassigns everything propagated since the trail was `mark` long.
+    fn undo_to(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.assignment[v] = Value::Unassigned;
+        }
+    }
+
+    fn dpll(&mut self, clauses: &[Clause]) -> bool {
         // Unit propagation to fixpoint.
-        let mut trail: Vec<VarId> = Vec::new();
+        let mark = self.trail.len();
         loop {
             let mut propagated = false;
             for clause in clauses {
-                let mut unassigned: Option<Literal> = None;
-                let mut satisfied = false;
-                let mut unassigned_count = 0;
-                for lit in clause {
-                    match assignment[lit.var] {
-                        Value::Unassigned => {
-                            unassigned_count += 1;
-                            unassigned = Some(*lit);
-                        }
-                        Value::True if lit.positive => {
-                            satisfied = true;
-                            break;
-                        }
-                        Value::False if !lit.positive => {
-                            satisfied = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                if satisfied {
+                if clause.literals.iter().any(|l| self.satisfies(l)) {
                     continue;
                 }
-                match unassigned_count {
-                    0 => {
+                let mut unassigned = clause.literals.iter().filter(|l| self.is_unassigned(l));
+                match (unassigned.next(), unassigned.next()) {
+                    (None, _) => {
                         // Conflict: undo and fail.
-                        for &v in &trail {
-                            assignment[v] = Value::Unassigned;
-                        }
+                        self.undo_to(mark);
                         return false;
                     }
-                    1 => {
-                        let lit = unassigned.expect("one unassigned literal");
-                        assignment[lit.var] = if lit.positive {
-                            Value::True
-                        } else {
-                            Value::False
-                        };
-                        trail.push(lit.var);
+                    (Some(lit), None) => {
+                        self.assignment[lit.var] = Value::of(lit.positive);
+                        self.trail.push(lit.var);
                         self.propagations += 1;
                         propagated = true;
                     }
@@ -286,66 +311,48 @@ impl DpllSolver {
 
         // Pick a branching variable: the literal occurring most often among
         // not-yet-satisfied clauses.
-        let mut counts: Vec<usize> = vec![0; assignment.len()];
+        self.counts.clear();
+        self.counts.resize(self.assignment.len(), 0);
         let mut any_unassigned = false;
         for clause in clauses {
-            let satisfied = clause.iter().any(|l| match assignment[l.var] {
-                Value::True => l.positive,
-                Value::False => !l.positive,
-                Value::Unassigned => false,
-            });
-            if satisfied {
+            if clause.literals.iter().any(|l| self.satisfies(l)) {
                 continue;
             }
-            for lit in clause {
-                if assignment[lit.var] == Value::Unassigned {
-                    counts[lit.var] += 1;
+            for lit in &clause.literals {
+                if self.is_unassigned(lit) {
+                    self.counts[lit.var] += 1;
                     any_unassigned = true;
                 }
             }
         }
         if !any_unassigned {
-            // All clauses satisfied (or no clauses left to satisfy).
-            let all_satisfied = clauses.iter().all(|clause| {
-                clause.iter().any(|l| match assignment[l.var] {
-                    Value::True => l.positive,
-                    Value::False => !l.positive,
-                    Value::Unassigned => false,
-                })
-            });
-            if all_satisfied {
-                // Assign remaining variables arbitrarily (false).
-                for v in assignment.iter_mut() {
-                    if *v == Value::Unassigned {
-                        *v = Value::False;
-                    }
+            // Propagation left no clause falsified, so all are satisfied:
+            // assign the remaining variables arbitrarily (false).
+            for v in self.assignment.iter_mut() {
+                if *v == Value::Unassigned {
+                    *v = Value::False;
                 }
-                return true;
             }
-            for &v in &trail {
-                assignment[v] = Value::Unassigned;
-            }
-            return false;
+            return true;
         }
-        let branch_var = counts
+        let branch_var = self
+            .counts
             .iter()
             .enumerate()
-            .filter(|(v, _)| assignment[*v] == Value::Unassigned)
+            .filter(|(v, _)| self.assignment[*v] == Value::Unassigned)
             .max_by_key(|(_, c)| **c)
             .map(|(v, _)| v)
             .expect("an unassigned variable exists");
 
         self.decisions += 1;
         for value in [Value::True, Value::False] {
-            assignment[branch_var] = value;
-            if self.dpll(clauses, assignment) {
+            self.assignment[branch_var] = value;
+            if self.dpll(clauses) {
                 return true;
             }
-            assignment[branch_var] = Value::Unassigned;
+            self.assignment[branch_var] = Value::Unassigned;
         }
-        for &v in &trail {
-            assignment[v] = Value::Unassigned;
-        }
+        self.undo_to(mark);
         false
     }
 
@@ -355,21 +362,32 @@ impl DpllSolver {
     ///
     /// Precondition: `cnf ∧ soft` is UNSAT (checked by debug assertion).
     pub fn minimal_core(&mut self, cnf: &Cnf, soft: &[Literal]) -> Vec<Literal> {
-        debug_assert!(!self.solve_with_assumptions(cnf, soft).is_sat());
-        let mut core: Vec<Literal> = soft.to_vec();
-        let mut i = 0;
-        while i < core.len() {
-            let mut candidate = core.clone();
-            candidate.remove(i);
-            if self.solve_with_assumptions(cnf, &candidate).is_sat() {
-                // This literal is necessary for unsatisfiability; keep it.
-                i += 1;
-            } else {
-                core = candidate;
-            }
-        }
-        core
+        deletion_core(soft, |subset| !self.is_sat_with_assumptions(cnf, subset))
     }
+}
+
+/// The deletion-based minimal unsatisfiable subset of `items`: walking the
+/// items in order, each is dropped when the rest (the items kept so far plus
+/// those not yet visited) is still unsatisfiable, and kept otherwise.
+///
+/// One test per item, on purpose: nearly every test is of an unsatisfiable
+/// set, which both users refute by propagation alone, while a bisecting
+/// variant spends half its tests on satisfiable sets that need a search.
+///
+/// Precondition: `unsat(items)` (checked by debug assertion).
+pub(crate) fn deletion_core<T: Copy>(items: &[T], mut unsat: impl FnMut(&[T]) -> bool) -> Vec<T> {
+    debug_assert!(unsat(items));
+    let mut core: Vec<T> = items.to_vec();
+    let mut i = 0;
+    while i < core.len() {
+        let dropped = core.remove(i);
+        if !unsat(&core) {
+            // This item is necessary for unsatisfiability; keep it.
+            core.insert(i, dropped);
+            i += 1;
+        }
+    }
+    core
 }
 
 #[cfg(test)]
@@ -429,7 +447,7 @@ mod tests {
     #[test]
     fn model_satisfies_formula() {
         // Random-ish 3-SAT instance that is satisfiable.
-        let mut cnf = Cnf::new(5);
+        let mut small = Cnf::new(5);
         let clauses = [
             [(0, true), (1, false), (2, true)],
             [(1, true), (2, true), (3, false)],
@@ -438,11 +456,24 @@ mod tests {
             [(0, true), (2, true), (4, true)],
         ];
         for c in clauses {
-            cnf.add_clause(Clause::new(c.iter().map(|(v, p)| lit(*v, *p))));
+            small.add_clause(Clause::new(c.iter().map(|(v, p)| lit(*v, *p))));
         }
-        match DpllSolver::new().solve(&cnf) {
-            SatResult::Sat(m) => assert!(cnf.evaluate(&m)),
-            SatResult::Unsat => panic!("should be sat"),
+        // Thirty strided 3-clauses over twelve variables: needs decisions
+        // and backtracking, not just propagation.
+        let mut strided = Cnf::new(12);
+        for i in 0..30usize {
+            strided.add_clause(Clause::new([
+                lit(i % 12, i % 2 == 0),
+                lit((i * 5 + 3) % 12, i % 3 == 0),
+                lit((i * 7 + 1) % 12, i % 5 == 0),
+            ]));
+        }
+        for cnf in [small, strided] {
+            let mut solver = DpllSolver::new();
+            match solver.solve(&cnf) {
+                SatResult::Sat(m) => assert!(cnf.evaluate(&m)),
+                SatResult::Unsat => panic!("should be sat"),
+            }
         }
     }
 
