@@ -85,10 +85,16 @@ impl JointSymbolicTable {
     /// This is the ψ-selection step at the start of every treaty-generation
     /// phase (Section 4.1).
     pub fn find_row(&self, db: &Database) -> Result<Option<&JointRow>, EvalError> {
+        Ok(self.find_row_index(db)?.map(|index| &self.rows[index]))
+    }
+
+    /// [`Self::find_row`], returning the row's position in [`Self::rows`] —
+    /// the key under which per-row artifacts are cached.
+    pub fn find_row_index(&self, db: &Database) -> Result<Option<usize>, EvalError> {
         let empty = ParamBinding::new();
-        for row in &self.rows {
+        for (index, row) in self.rows.iter().enumerate() {
             if eval_guard(&row.guard, db, &empty)? {
-                return Ok(Some(row));
+                return Ok(Some(index));
             }
         }
         Ok(None)

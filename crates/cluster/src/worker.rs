@@ -1194,6 +1194,7 @@ impl SiteWorker {
     /// [`GENERAL_COORDINATOR`] for a freeze → fold → re-run → renegotiate
     /// round. Returns `false` when the operation is now waiting on that
     /// round (the pump must stop), `true` when it completed.
+    #[inline(never)] // keeps the general path out of the counter pump's loop body
     fn run_general_transaction(&mut self, index: usize, out: &mut Outbox) -> bool {
         let Some(programs) = &self.programs else {
             // No program registered: typed rejection, never a panic — wire
@@ -1230,8 +1231,8 @@ impl SiteWorker {
             self.completed.push(OpOutcome::default());
             return true;
         }
-        let view = Database::from_pairs(self.engine.snapshot());
-        if programs.local_holds(self.site, &view) {
+        // Only the objects the local treaty mentions are read.
+        if programs.local_holds_with(self.site, |name| self.engine.peek(name)) {
             self.stats.local_commits += 1;
             self.completed.push(OpOutcome::local_commit());
             return true;

@@ -44,6 +44,12 @@ impl Database {
         self.entries.get(obj).copied().unwrap_or(0)
     }
 
+    /// The value of the object called `name` (0 if absent), without
+    /// building an [`ObjId`] for the lookup.
+    pub fn get_by_name(&self, name: &str) -> i64 {
+        self.entries.get(name).copied().unwrap_or(0)
+    }
+
     /// Sets the value of `obj`. Setting an object to `0` removes it from the
     /// support so that databases compare equal regardless of how zeros were
     /// produced.

@@ -12,6 +12,7 @@
 //! they can be used freely as map keys throughout the analysis and protocol
 //! layers.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,6 +32,13 @@ macro_rules! id_type {
 
             /// Returns the identifier text.
             pub fn as_str(&self) -> &str {
+                &self.0
+            }
+        }
+
+        // Sound: the derives above compare, order and hash the text alone.
+        impl Borrow<str> for $name {
+            fn borrow(&self) -> &str {
                 &self.0
             }
         }

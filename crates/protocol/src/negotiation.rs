@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
 use homeo_sim::Timer;
-use homeo_solver::{LinExpr, LinearConstraint, VarName};
+use homeo_solver::{LinExpr, LinearConstraint};
 
 use crate::model::Loc;
 use crate::optimizer::optimize_timed_warm;
@@ -256,26 +256,21 @@ pub fn negotiate_allowances_cached(
                 // identically to a cold solve).
                 let candidate = previous
                     .filter(|p| p.len() == sites)
-                    .map(|prev| warm_candidate(&templates.clauses[0].config_vars, prev, headroom));
+                    .map(|prev| warm_candidate(prev, headroom));
                 let result = optimize_timed_warm(
                     templates,
                     &entry.db,
                     &mut model,
                     &cfg,
                     timer,
-                    candidate.as_ref(),
+                    candidate.as_deref(),
                 );
                 let solver_micros = result.solver_micros;
                 // allowance_i = the most negative δᵢ the local treaty
                 // tolerates: from  -δᵢ + cᵢ ≤ headroom  we get
-                // δᵢ ≥ cᵢ - headroom.
-                let mut allowances: Vec<i64> = (0..sites)
-                    .map(|i| {
-                        let cvar = &templates.clauses[0].config_vars[i];
-                        let c = result.config.get(cvar).copied().unwrap_or(headroom);
-                        c - headroom
-                    })
-                    .collect();
+                // δᵢ ≥ cᵢ - headroom. (One clause: site i's configuration
+                // variable is entry i.)
+                let mut allowances: Vec<i64> = result.config.iter().map(|c| c - headroom).collect();
                 // Safety net: never allow the allowances to oversubscribe
                 // the headroom (the hard constraints already guarantee this;
                 // clamp defensively against a degenerate model).
@@ -312,24 +307,19 @@ fn sanitize_weights(out: &mut Vec<f64>, raw: &[f64]) {
 }
 
 /// The warm-start candidate configuration: the previous allowance split
-/// rescaled (by integer floor) to the current headroom, expressed over the
-/// template's configuration variables (`c_i = headroom - scaled_share_i`).
-fn warm_candidate(
-    config_vars: &[VarName],
-    previous: &[i64],
-    headroom: i64,
-) -> BTreeMap<VarName, i64> {
+/// rescaled (by integer floor) to the current headroom, as the template's
+/// configuration (`c_i = headroom - scaled_share_i`).
+fn warm_candidate(previous: &[i64], headroom: i64) -> Vec<i64> {
     let prev_total: i64 = previous.iter().map(|a| (-a).max(0)).sum();
-    config_vars
+    previous
         .iter()
-        .zip(previous)
-        .map(|(cvar, a)| {
+        .map(|a| {
             let scaled = if prev_total > 0 {
                 ((-a).max(0) as i128 * headroom.max(0) as i128 / prev_total as i128) as i64
             } else {
                 0
             };
-            (cvar.clone(), headroom - scaled)
+            headroom - scaled
         })
         .collect()
 }
@@ -521,11 +511,10 @@ mod tests {
 
     #[test]
     fn warm_candidate_never_oversubscribes() {
-        let vars: Vec<VarName> = (0..3).map(|k| format!("c0@{k}")).collect();
         let prev = [-120, -60, -19];
         for headroom in [0i64, 1, 50, 199, 200, 10_000] {
-            let candidate = warm_candidate(&vars, &prev, headroom);
-            let consumed: i64 = candidate.values().map(|c| headroom - c).sum();
+            let candidate = warm_candidate(&prev, headroom);
+            let consumed: i64 = candidate.iter().map(|c| headroom - c).sum();
             assert!(consumed <= headroom, "headroom {headroom}: {candidate:?}");
         }
     }

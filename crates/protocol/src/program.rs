@@ -21,17 +21,19 @@
 //!   analysis happens once per registered template, and each renegotiation
 //!   reuses it.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use homeo_analysis::{JointSymbolicTable, SymbolicTable};
-use homeo_lang::ast::Transaction;
+use homeo_lang::ast::{BExp, Transaction};
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
 use homeo_sim::Timer;
 
 use crate::model::{Loc, SiteId};
 use crate::optimizer::{optimize_timed, OptimizerConfig};
-use crate::templates::{preprocess_guard, TreatyTemplates};
+use crate::templates::{GuardTemplate, TreatyTemplates};
 use crate::treaty::TreatyTable;
 
 /// The portable registration form of an `L++` workload.
@@ -115,18 +117,43 @@ fn printable_source(txn: &Transaction) -> String {
 /// A registered program set: parsed transactions plus the one-time analysis
 /// artifacts and the current treaty table.
 ///
-/// The analysis (symbolic tables, joint table) runs once at registration;
-/// every subsequent [`Self::negotiate`] reuses it, which is what keeps
-/// general-path synchronization rounds cheap.
+/// The analysis (symbolic tables, joint table) runs once at registration,
+/// and each joint-table row is compiled to its treaty templates the first
+/// time a negotiation selects it; every subsequent [`Self::negotiate`]
+/// reuses both, which is what keeps general-path synchronization rounds
+/// cheap: find the row, sample futures, solve, install.
 #[derive(Debug, Clone)]
 pub struct ProgramSet {
     transactions: Vec<Transaction>,
     sources: Vec<String>,
     joint: JointSymbolicTable,
+    /// The joint-table rows negotiated from so far, compiled on first hit
+    /// (never eagerly: the table has `2^K` rows and a run visits a few).
+    compiled: BTreeMap<usize, CompiledRow>,
     loc: Loc,
     optimizer: Option<OptimizerConfig>,
     treaties: TreatyTable,
     sites: usize,
+}
+
+/// What a joint-table row contributes to every negotiation that selects it.
+#[derive(Debug, Clone)]
+struct CompiledRow {
+    guard: GuardTemplate,
+    /// The row's templates, when ψ freezes nothing and so is the same for
+    /// every database; otherwise they are regenerated per round from the
+    /// guard template, which redoes only the frozen equalities.
+    templates: Option<TreatyTemplates>,
+}
+
+impl CompiledRow {
+    fn new(guard: &BExp, db: &Database, loc: &Loc, sites: usize) -> Self {
+        let guard = GuardTemplate::new(guard);
+        let templates = guard
+            .is_linear()
+            .then(|| TreatyTemplates::generate(&guard.instantiate(db), loc, sites));
+        CompiledRow { guard, templates }
+    }
 }
 
 impl ProgramSet {
@@ -199,6 +226,7 @@ impl ProgramSet {
             transactions,
             sources,
             joint,
+            compiled: BTreeMap::new(),
             loc,
             optimizer,
             treaties: TreatyTable::new(sites),
@@ -267,6 +295,13 @@ impl ProgramSet {
         self.treaties.local(site).holds_on(view)
     }
 
+    /// [`Self::local_holds`] against wherever the site keeps its objects:
+    /// `value_of` is asked for the objects the local treaty mentions and no
+    /// others, so the check costs the size of the treaty, not of the store.
+    pub fn local_holds_with(&self, site: SiteId, value_of: impl FnMut(&str) -> i64) -> bool {
+        self.treaties.local(site).holds_with(value_of)
+    }
+
     /// The lockstep negotiation round counter.
     pub fn round(&self) -> u64 {
         self.treaties.round
@@ -285,12 +320,28 @@ impl ProgramSet {
     /// site negotiates locally from the installed global state. Returns the
     /// solver time in microseconds as measured by `timer`.
     pub fn negotiate(&mut self, db: &Database, timer: Timer) -> u64 {
-        let row = match self.joint.find_row(db) {
-            Ok(Some(row)) => row.guard.clone(),
-            _ => homeo_lang::ast::BExp::True,
+        let (loc, sites) = (&self.loc, self.sites);
+        // ψ-selection; a database no row admits negotiates the trivial
+        // treaty.
+        let fallback;
+        let row = match self.joint.find_row_index(db) {
+            Ok(Some(index)) => self
+                .compiled
+                .entry(index)
+                .or_insert_with(|| CompiledRow::new(&self.joint.rows[index].guard, db, loc, sites)),
+            _ => {
+                fallback = CompiledRow::new(&BExp::True, db, loc, sites);
+                &fallback
+            }
         };
-        let psi = preprocess_guard(&row, db);
-        let templates = TreatyTemplates::generate(&psi, &self.loc, self.sites);
+        let regenerated;
+        let templates = match &row.templates {
+            Some(templates) => templates,
+            None => {
+                regenerated = TreatyTemplates::generate(&row.guard.instantiate(db), loc, sites);
+                &regenerated
+            }
+        };
         let (config, solver_micros) = match &self.optimizer {
             Some(cfg) => {
                 // Workload model: pick one of the registered transactions
@@ -307,14 +358,14 @@ impl ProgramSet {
                     seed: cfg.seed.wrapping_add(self.treaties.round),
                     ..*cfg
                 };
-                let result = optimize_timed(&templates, db, &mut model, &seeded, timer);
+                let result = optimize_timed(templates, db, &mut model, &seeded, timer);
                 (result.config, result.solver_micros)
             }
             None => (templates.default_config(db), 0),
         };
-        let locals = templates.local_treaties(&config, db);
-        debug_assert!(templates.config_is_valid(&config, db));
-        self.treaties.install(templates.global(), locals);
+        debug_assert!(templates.config_is_valid(&config));
+        self.treaties
+            .install(templates.global(), templates.local_treaties(&config));
         solver_micros
     }
 }
@@ -363,6 +414,96 @@ mod tests {
         c.set_round(1);
         c.negotiate(&db2, Timer::fixed_zero());
         assert_eq!(a.treaties(), c.treaties());
+    }
+
+    /// Two order-or-refill programs (`a` at site 0, `b` at site 1) and one
+    /// whose branch depends on the product `a·b`: every joint row carries a
+    /// non-linear conjunct, so ψ freezes `a` and `b` at the round's values.
+    fn product_bundle() -> ProgramBundle {
+        use homeo_lang::builder::{assign, ite, num, read, var, write, TxnBuilder};
+        let mut product = TxnBuilder::new("Product");
+        product.push(assign("p", read("a").mul(read("b"))));
+        product.push(ite(
+            var("p").gt(num(4)),
+            write("c", read("c").sub(num(1))),
+            write("c", num(9)),
+        ));
+        let txns = [
+            programs::order_for_object(ObjId::new("a"), 6),
+            programs::order_for_object(ObjId::new("b"), 6),
+            product.build(),
+        ];
+        let loc = Loc::from_pairs([("a", 0usize), ("b", 1usize), ("c", 0usize)]);
+        let db = Database::from_pairs([("a", 5), ("b", 5), ("c", 5)]);
+        let optimizer = OptimizerConfig {
+            lookahead: 6,
+            futures: 2,
+            seed: 21,
+        };
+        ProgramBundle::from_transactions(&txns, &loc, &db, Some(optimizer))
+    }
+
+    #[test]
+    fn cached_rows_negotiate_like_a_fresh_set() {
+        // Rounds from states that select different joint rows — both
+        // branches of each order program (`a ≤ 1` refills), both sides of
+        // the product — and that revisit a row with different frozen values
+        // (rounds 0 and 3) and with the very same database (0 and 6).
+        let states: [[i64; 3]; 7] = [
+            [5, 5, 5],
+            [1, 5, 5],
+            [5, 1, 3],
+            [4, 5, 5],
+            [1, 1, 9],
+            [2, 2, 1],
+            [5, 5, 5],
+        ];
+        let db_of = |[a, b, c]: [i64; 3]| Database::from_pairs([("a", a), ("b", b), ("c", c)]);
+        let bundle = product_bundle();
+        let mut long_lived = ProgramSet::from_bundle(&bundle, 2).unwrap();
+        let mut installed = Vec::new();
+        for (round, state) in states.into_iter().enumerate() {
+            let db = db_of(state);
+            long_lived.negotiate(&db, Timer::fixed_zero());
+            let mut fresh = ProgramSet::from_bundle(&bundle, 2).unwrap();
+            fresh.set_round(round as u64);
+            fresh.negotiate(&db, Timer::fixed_zero());
+            assert_eq!(long_lived.treaties(), fresh.treaties(), "round {round}");
+            assert!(long_lived.treaties().all_locals_hold_on(&db));
+            installed.push(long_lived.treaties().clone());
+        }
+        // The rows differ (the guard's frozen part does, at least), so the
+        // cache is exercised, and it holds one entry per distinct row.
+        assert_ne!(installed[0].global, installed[1].global);
+        assert_ne!(installed[0].global, installed[3].global);
+        assert!((4..7).contains(&long_lived.compiled.len()));
+        // A site that restarts mid-run rewinds the round counter and must
+        // re-derive any earlier round from its warm cache.
+        for round in [3usize, 0, 5] {
+            long_lived.set_round(round as u64);
+            long_lived.negotiate(&db_of(states[round]), Timer::fixed_zero());
+            assert_eq!(long_lived.treaties(), &installed[round], "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_local_treaty_reads_only_the_objects_it_mentions() {
+        let bundle = ProgramBundle {
+            optimizer: Some(OptimizerConfig::default()),
+            ..example_bundle()
+        };
+        let db = Database::from_pairs([("x", 10), ("y", 13)]);
+        let mut set = ProgramSet::from_bundle(&bundle, 2).unwrap();
+        set.negotiate(&db, Timer::fixed_zero());
+        for site in 0..2 {
+            let mut asked = Vec::new();
+            let holds = set.local_holds_with(site, |name| {
+                asked.push(name.to_string());
+                db.get_by_name(name)
+            });
+            assert_eq!(holds, set.local_holds(site, &db));
+            assert_eq!(asked, [["x"], ["y"]][site], "site {site}");
+        }
     }
 
     #[test]

@@ -215,8 +215,11 @@ impl HomeostasisCluster {
         // treaty is violated, which is equivalent to aborting before commit
         // since the protocol immediately re-runs the transaction after
         // synchronization).
-        let view = self.site_view(site);
-        if self.programs.local_holds(site, &view) {
+        let engine = &self.sites[site];
+        if self
+            .programs
+            .local_holds_with(site, |name| engine.peek(name))
+        {
             self.stats.local_commits += 1;
             self.history.push(CommittedRecord {
                 site,

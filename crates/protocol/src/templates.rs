@@ -17,79 +17,110 @@
 //! constraints over the configuration variables (`Σ_k c_k ≥ (K-1)·n` for
 //! `≤`-clauses after normalisation, equality for `=`-clauses), which is what
 //! the optimizer hands to the MaxSMT engine as hard constraints.
-
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+//!
+//! # The configuration table
+//!
+//! A configuration is a dense `Vec<i64>`: the variable `c{idx}@{k}` of
+//! clause `idx` at site `k` lives at index `idx·sites + k`
+//! ([`TreatyTemplates::config_index`]). Everything a negotiation computes per
+//! round — the default configuration, the bounds a sampled state demands
+//! (a soft group is one `bound − local_now` per variable), the tightened
+//! configuration, the H1 check — is a pass over such vectors, and the solver
+//! is handed pre-resolved rows ([`TreatyTemplates::solve`]). The solver
+//! eliminates in `VarName` order, and `c0@10` sorts before `c0@2`, so the
+//! templates rank their variables' names once and translate at that one
+//! boundary.
 
 use homeo_analysis::linearize::conjuncts_to_constraints;
 use homeo_lang::ast::BExp;
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
-use homeo_solver::{CmpKind, LinExpr, LinearConstraint, VarName};
+use homeo_solver::maxsmt::{max_feasible_rows, MaxSmtResult};
+use homeo_solver::{fm, string_kernel, CmpKind, LinExpr, LinearConstraint, Prepared, Var, VarName};
+use serde::{Deserialize, Serialize};
 
 use crate::model::Loc;
 use crate::treaty::{GlobalTreaty, LocalTreaty};
 
-/// Preprocesses a symbolic-table guard ψ into a conjunction of linear
-/// constraints that implies it, given the current database `db` (which must
-/// satisfy ψ).
+/// A symbolic-table guard ψ linearized once, conjunct by conjunct, so that
+/// only the part that depends on the database is redone per round.
 ///
 /// Linearizable conjuncts pass through unchanged. Any conjunct that cannot
 /// be expressed as a single conjunction of linear constraints (non-linear
 /// arithmetic, disjunctions arising from negated conjunctions or negated
 /// equalities) is replaced by equality constraints freezing every object it
 /// mentions at its current value — exactly the Appendix C.1 construction.
-pub fn preprocess_guard(guard: &BExp, db: &Database) -> Vec<LinearConstraint> {
-    let mut out = Vec::new();
-    let mut conjuncts = Vec::new();
-    flatten_conjuncts(guard, &mut conjuncts);
-    for conjunct in conjuncts {
-        match conjuncts_to_constraints(&conjunct) {
-            Ok(cs) => out.extend(cs),
-            Err(_) => {
-                for obj in conjunct.reads() {
-                    out.push(LinearConstraint::eq(
-                        LinExpr::var(obj.as_str()),
-                        LinExpr::constant(db.get(&obj)),
-                    ));
-                }
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GuardTemplate {
+    /// One piece per conjunct, in ψ's order.
+    pieces: Vec<GuardPiece>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum GuardPiece {
+    /// A linearizable conjunct's constraints.
+    Linear(Vec<LinearConstraint>),
+    /// The objects a non-linearizable conjunct reads, to be frozen.
+    Frozen(Vec<ObjId>),
+}
+
+impl GuardTemplate {
+    /// Linearizes the conjuncts of `guard`.
+    pub fn new(guard: &BExp) -> Self {
+        let mut conjuncts = Vec::new();
+        flatten_conjuncts(guard, &mut conjuncts);
+        let pieces = conjuncts
+            .into_iter()
+            .map(|conjunct| match conjuncts_to_constraints(conjunct) {
+                Ok(cs) => GuardPiece::Linear(cs),
+                Err(_) => GuardPiece::Frozen(conjunct.reads().into_iter().collect()),
+            })
+            .collect();
+        GuardTemplate { pieces }
+    }
+
+    /// True when no conjunct had to be frozen: [`Self::instantiate`] then
+    /// returns the same ψ for every database.
+    pub fn is_linear(&self) -> bool {
+        let mut pieces = self.pieces.iter();
+        pieces.all(|piece| matches!(piece, GuardPiece::Linear(_)))
+    }
+
+    /// The preprocessed ψ at `db` (which must satisfy the guard): a
+    /// conjunction of linear constraints that implies it, frozen objects at
+    /// their values in `db`, duplicates and implied constraints dropped —
+    /// which keeps the treaty, and therefore the templates, as small as the
+    /// paper's hand-derived ψ.
+    pub fn instantiate(&self, db: &Database) -> Vec<LinearConstraint> {
+        let mut out = Vec::new();
+        for piece in &self.pieces {
+            match piece {
+                GuardPiece::Linear(cs) => out.extend(cs.iter().cloned()),
+                GuardPiece::Frozen(objects) => out.extend(objects.iter().map(|obj| {
+                    LinearConstraint::eq(LinExpr::var(obj.as_str()), LinExpr::constant(db.get(obj)))
+                })),
             }
         }
+        out.dedup();
+        fm::remove_redundant(out)
     }
-    out.dedup();
-    remove_redundant(out)
 }
 
-/// Drops constraints that are implied by the remaining ones (e.g. the
-/// `x + y ≥ 10` clause subsumed by `x + y ≥ 20` in the Figure 4c row),
-/// keeping the treaty — and therefore the templates — as small as the paper's
-/// hand-derived ψ.
-fn remove_redundant(mut constraints: Vec<LinearConstraint>) -> Vec<LinearConstraint> {
-    let mut i = 0;
-    while i < constraints.len() {
-        if constraints.len() <= 1 {
-            break;
-        }
-        let mut rest = constraints.clone();
-        let candidate = rest.remove(i);
-        if homeo_solver::fm::implies(&rest, &[candidate]) {
-            constraints.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    constraints
+/// Preprocesses a symbolic-table guard ψ into a conjunction of linear
+/// constraints that implies it, given the current database `db` (which must
+/// satisfy ψ): [`GuardTemplate::instantiate`] without keeping the template.
+pub fn preprocess_guard(guard: &BExp, db: &Database) -> Vec<LinearConstraint> {
+    GuardTemplate::new(guard).instantiate(db)
 }
 
-fn flatten_conjuncts(b: &BExp, out: &mut Vec<BExp>) {
+fn flatten_conjuncts<'a>(b: &'a BExp, out: &mut Vec<&'a BExp>) {
     match b {
         BExp::And(l, r) => {
             flatten_conjuncts(l, out);
             flatten_conjuncts(r, out);
         }
         BExp::True => {}
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 
@@ -108,6 +139,26 @@ pub struct ClauseTemplate {
     pub full_lhs: LinExpr,
 }
 
+impl ClauseTemplate {
+    /// The comparison of everything the clause instantiates: `=` or `≤`.
+    fn relation(&self) -> CmpKind {
+        match self.op {
+            CmpKind::Le | CmpKind::Lt => CmpKind::Le,
+            CmpKind::Eq => CmpKind::Eq,
+        }
+    }
+
+    /// `lhs + shift ⋈ bound` in the clause's orientation.
+    fn instantiate(&self, lhs: &LinExpr, shift: i64) -> LinearConstraint {
+        let mut expr = lhs.clone();
+        expr.add_constant(shift - self.bound);
+        LinearConstraint {
+            expr,
+            op: self.relation(),
+        }
+    }
+}
+
 /// The set of clause templates for one protocol round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreatyTemplates {
@@ -115,24 +166,30 @@ pub struct TreatyTemplates {
     pub sites: usize,
     /// The clauses.
     pub clauses: Vec<ClauseTemplate>,
+    /// The solver id of each configuration variable (by configuration
+    /// index): its rank among the variables' names.
+    solver_ids: Vec<Var>,
+    /// Each clause's solver ids in ascending order, clause after clause —
+    /// the term order of its H1 row.
+    h1_vars: Vec<Var>,
 }
 
 impl TreatyTemplates {
     /// Generates templates from a preprocessed conjunction of linear
     /// constraints.
     pub fn generate(psi: &[LinearConstraint], loc: &Loc, sites: usize) -> Self {
-        let clauses = psi
+        let clauses: Vec<ClauseTemplate> = psi
             .iter()
             .enumerate()
             .map(|(idx, c)| {
                 let tightened = c.tightened();
                 // tightened.expr ⋈ 0  ⇔  lhs ⋈ bound with bound = -constant.
                 let bound = -tightened.expr.constant_part();
-                let mut lhs = tightened.expr.clone();
+                let mut lhs = tightened.expr;
                 lhs.add_constant(bound); // remove the constant part
                 let mut site_terms = vec![LinExpr::zero(); sites];
                 for (var, coeff) in lhs.terms() {
-                    let site = loc.site_of(&ObjId::new(var.clone()));
+                    let site = loc.site_of(&ObjId::new(var));
                     site_terms[site].add_term(var.clone(), coeff);
                 }
                 let config_vars = (0..sites).map(|k| format!("c{idx}@{k}")).collect();
@@ -145,24 +202,41 @@ impl TreatyTemplates {
                 }
             })
             .collect();
-        TreatyTemplates { sites, clauses }
+        let name = |i: usize| &clauses[i / sites].config_vars[i % sites];
+        let mut by_name: Vec<usize> = (0..clauses.len() * sites).collect();
+        by_name.sort_by(|&a, &b| name(a).cmp(name(b)));
+        let mut solver_ids = vec![0; by_name.len()];
+        for (rank, &i) in by_name.iter().enumerate() {
+            solver_ids[i] = rank as Var;
+        }
+        let mut h1_vars = solver_ids.clone();
+        h1_vars
+            .chunks_mut(sites.max(1))
+            .for_each(<[Var]>::sort_unstable);
+        TreatyTemplates {
+            sites,
+            clauses,
+            solver_ids,
+            h1_vars,
+        }
+    }
+
+    /// Where the configuration variable of clause `clause` at site `site`
+    /// lives in a configuration.
+    pub fn config_index(&self, clause: usize, site: usize) -> usize {
+        clause * self.sites + site
+    }
+
+    /// The comparison each configuration variable is bounded by.
+    pub(crate) fn relations(&self) -> impl Iterator<Item = CmpKind> + '_ {
+        let per_clause = self.clauses.iter().map(ClauseTemplate::relation);
+        per_clause.flat_map(move |op| std::iter::repeat_n(op, self.sites))
     }
 
     /// The global treaty these templates enforce.
     pub fn global(&self) -> GlobalTreaty {
-        GlobalTreaty::new(
-            self.clauses
-                .iter()
-                .map(|c| match c.op {
-                    CmpKind::Le | CmpKind::Lt => {
-                        LinearConstraint::le(c.full_lhs.clone(), LinExpr::constant(c.bound))
-                    }
-                    CmpKind::Eq => {
-                        LinearConstraint::eq(c.full_lhs.clone(), LinExpr::constant(c.bound))
-                    }
-                })
-                .collect(),
-        )
+        let clauses = self.clauses.iter();
+        GlobalTreaty::new(clauses.map(|c| c.instantiate(&c.full_lhs, 0)).collect())
     }
 
     /// The always-valid default configuration of Theorem 4.3.
@@ -171,28 +245,139 @@ impl TreatyTemplates {
     /// * inequality clauses: `c_k = n - (local part evaluated on db)`, so the
     ///   local treaty becomes "the local sum never exceeds its current
     ///   value".
-    pub fn default_config(&self, db: &Database) -> BTreeMap<VarName, i64> {
-        let mut config = BTreeMap::new();
+    pub fn default_config(&self, db: &Database) -> Vec<i64> {
+        let mut config = Vec::with_capacity(self.clauses.len() * self.sites);
         for clause in &self.clauses {
-            for k in 0..self.sites {
-                let local_now = eval_on_db(&clause.site_terms[k], db);
-                let value = match clause.op {
-                    CmpKind::Eq => {
-                        let full_now = eval_on_db(&clause.full_lhs, db);
-                        full_now - local_now
-                    }
-                    CmpKind::Le | CmpKind::Lt => clause.bound - local_now,
-                };
-                config.insert(clause.config_vars[k].clone(), value);
-            }
+            let target = match clause.relation() {
+                CmpKind::Eq => eval_on_db(&clause.full_lhs, db),
+                _ => clause.bound,
+            };
+            let locals = clause.site_terms.iter();
+            config.extend(locals.map(|local| target - eval_on_db(local, db)));
         }
         config
     }
 
-    /// The exact validity condition H1 expressed as linear constraints over
-    /// the configuration variables (hard constraints for the optimizer).
-    pub fn hard_constraints(&self) -> Vec<LinearConstraint> {
-        let k = self.sites as i64;
+    /// The bound each configuration variable must respect for *all* local
+    /// treaties to hold on the given database (`c ≤ bound − local_now`, or
+    /// `=` for an equality clause) — the per-sampled-state soft group of
+    /// Algorithm 1.
+    pub fn soft_group_for_db(&self, db: &Database) -> Vec<i64> {
+        let mut group = Vec::with_capacity(self.clauses.len() * self.sites);
+        for clause in &self.clauses {
+            let locals = clause.site_terms.iter();
+            group.extend(locals.map(|local| clause.bound - eval_on_db(local, db)));
+        }
+        group
+    }
+
+    /// Whether `config` respects every bound of a soft group.
+    pub fn group_holds(&self, group: &[i64], config: &[i64]) -> bool {
+        let mut rows = self.relations().zip(config.iter().zip(group));
+        rows.all(|(op, (value, bound))| op.eval(*value, *bound))
+    }
+
+    /// H1 by arithmetic: the hard rows `Σ_k c_k ≥ (K-1)·n` (`=` for an
+    /// equality clause) evaluated on `config`. Sufficient for
+    /// [`Self::config_is_valid`] always, and equivalent to it on every
+    /// configuration the optimizer derives from a feasible hard system —
+    /// the release path checks this and leaves the implication to debug
+    /// assertions and tests.
+    pub fn satisfies_h1(&self, config: &[i64]) -> bool {
+        debug_assert_eq!(config.len(), self.solver_ids.len());
+        let required = self.sites as i64 - 1;
+        let sums = config.chunks(self.sites.max(1));
+        self.clauses.iter().zip(sums).all(|(clause, values)| {
+            let sum: i64 = values.iter().sum();
+            match clause.relation() {
+                CmpKind::Eq => sum == required * clause.bound,
+                _ => sum >= required * clause.bound,
+            }
+        })
+    }
+
+    /// Algorithm 1's MaxSMT call over pre-resolved rows: the hard system is
+    /// H1 plus the bounds of `now` (H2: the treaties hold on the current
+    /// database), and each of `futures` is one soft group. The model is an
+    /// overlay of `(configuration index, value)` pairs.
+    pub fn solve(
+        &self,
+        now: &[i64],
+        futures: &[Vec<i64>],
+    ) -> Option<MaxSmtResult<Vec<(usize, i64)>>> {
+        let vars = self.solver_ids.len();
+        let mut system = Prepared::new(vars);
+        let required = self.sites as i64 - 1;
+        for (clause, ids) in self
+            .clauses
+            .iter()
+            .zip(self.h1_vars.chunks(self.sites.max(1)))
+        {
+            let rhs = required * clause.bound;
+            match clause.relation() {
+                CmpKind::Eq => system.push(ids.iter().map(|&v| (v, 1)), -rhs, CmpKind::Eq),
+                // rhs − Σ c ≤ 0
+                _ => system.push(ids.iter().map(|&v| (v, -1)), rhs, CmpKind::Le),
+            };
+        }
+        let push_group = |system: &mut Prepared, group: &[i64]| {
+            let start = system.len();
+            for ((op, bound), &id) in self.relations().zip(group).zip(&self.solver_ids) {
+                // c − bound ⋈ 0
+                system.push([(id, 1)], -bound, op);
+            }
+            start..system.len()
+        };
+        push_group(&mut system, now);
+        let hard = 0..system.len();
+        let groups: Vec<_> = futures
+            .iter()
+            .map(|group| push_group(&mut system, group))
+            .collect();
+        let res = max_feasible_rows(&system, hard, &groups)?;
+        let config_index = |var: Var| {
+            let at = self.solver_ids.iter().position(|&id| id == var);
+            at.expect("the model ranges over the configuration variables")
+        };
+        Some(res.map_model(|model| {
+            let values = model.into_iter();
+            values
+                .map(|(var, value)| (config_index(var), value))
+                .collect()
+        }))
+    }
+
+    /// [`Self::solve`] through `homeo_solver::string_kernel`: the same hard
+    /// system and soft groups spelled as constraints over the configuration
+    /// variables' names, every probe solved from scratch on string-keyed
+    /// rows. Same answer, same model; counter allowance negotiation
+    /// ([`crate::optimizer::optimize_timed_warm`]) still solves this way, for
+    /// the reason `homeo_solver::string_kernel`'s module docs give.
+    pub fn solve_named(
+        &self,
+        now: &[i64],
+        futures: &[Vec<i64>],
+    ) -> Option<MaxSmtResult<Vec<(usize, i64)>>> {
+        let mut hard = self.h1_constraints();
+        hard.extend(self.group_constraints(now));
+        let soft: Vec<_> = futures.iter().map(|g| self.group_constraints(g)).collect();
+        let res = string_kernel::max_feasible_subset(&hard, &soft)?;
+        let names = self.clauses.iter().flat_map(|c| c.config_vars.iter());
+        Some(res.map_model(|model| {
+            let config_index = |name: &VarName| {
+                let at = names.clone().position(|n| n == name);
+                at.expect("the model ranges over the configuration variables")
+            };
+            let values = model.iter();
+            values
+                .map(|(name, value)| (config_index(name), *value))
+                .collect()
+        }))
+    }
+
+    /// H1 as constraints over the configuration variables' names.
+    fn h1_constraints(&self) -> Vec<LinearConstraint> {
+        let required = self.sites as i64 - 1;
         self.clauses
             .iter()
             .map(|clause| {
@@ -200,94 +385,70 @@ impl TreatyTemplates {
                 for v in &clause.config_vars {
                     sum.add_term(v.clone(), 1);
                 }
-                let rhs = LinExpr::constant((k - 1) * clause.bound);
-                match clause.op {
-                    CmpKind::Le | CmpKind::Lt => LinearConstraint::ge(sum, rhs),
+                let rhs = LinExpr::constant(required * clause.bound);
+                match clause.relation() {
                     CmpKind::Eq => LinearConstraint::eq(sum, rhs),
+                    _ => LinearConstraint::ge(sum, rhs),
                 }
             })
             .collect()
     }
 
-    /// The constraints on configuration variables under which *all* local
-    /// treaties hold on the given database — the per-sampled-state soft
-    /// groups of Algorithm 1.
-    pub fn soft_group_for_db(&self, db: &Database) -> Vec<LinearConstraint> {
-        let mut out = Vec::new();
-        for clause in &self.clauses {
-            for k in 0..self.sites {
-                let local_now = eval_on_db(&clause.site_terms[k], db);
-                let cvar = LinExpr::var(clause.config_vars[k].clone());
-                let needed = LinExpr::constant(clause.bound - local_now);
-                out.push(match clause.op {
-                    CmpKind::Le | CmpKind::Lt => LinearConstraint::le(cvar, needed),
+    /// A soft group as constraints over the configuration variables' names.
+    fn group_constraints(&self, group: &[i64]) -> Vec<LinearConstraint> {
+        let clauses = self.clauses.iter();
+        let names = clauses.flat_map(|clause| clause.config_vars.iter().map(move |v| (clause, v)));
+        names
+            .zip(group)
+            .map(|((clause, name), bound)| {
+                let (cvar, needed) = (LinExpr::var(name.clone()), LinExpr::constant(*bound));
+                match clause.relation() {
                     CmpKind::Eq => LinearConstraint::eq(cvar, needed),
-                });
-            }
-        }
-        out
+                    _ => LinearConstraint::le(cvar, needed),
+                }
+            })
+            .collect()
     }
 
     /// Instantiates the templates into per-site local treaties using a
-    /// configuration (missing configuration variables fall back to the
-    /// default configuration for `db`).
-    pub fn local_treaties(
-        &self,
-        config: &BTreeMap<VarName, i64>,
-        db: &Database,
-    ) -> Vec<LocalTreaty> {
-        let defaults = self.default_config(db);
+    /// configuration.
+    pub fn local_treaties(&self, config: &[i64]) -> Vec<LocalTreaty> {
         (0..self.sites)
             .map(|k| {
-                let constraints = self
-                    .clauses
-                    .iter()
-                    .map(|clause| {
-                        let c_value = config
-                            .get(&clause.config_vars[k])
-                            .or_else(|| defaults.get(&clause.config_vars[k]))
-                            .copied()
-                            .unwrap_or(0);
-                        let lhs = clause.site_terms[k].plus(&LinExpr::constant(c_value));
-                        let rhs = LinExpr::constant(clause.bound);
-                        match clause.op {
-                            CmpKind::Le | CmpKind::Lt => LinearConstraint::le(lhs, rhs),
-                            CmpKind::Eq => LinearConstraint::eq(lhs, rhs),
-                        }
-                    })
-                    .collect();
-                LocalTreaty::new(k, constraints)
+                let clauses = self.clauses.iter().enumerate();
+                let constraints = clauses.map(|(idx, clause)| {
+                    clause.instantiate(&clause.site_terms[k], config[self.config_index(idx, k)])
+                });
+                LocalTreaty::new(k, constraints.collect())
             })
             .collect()
     }
 
     /// Checks H1 semantically: the conjunction of the instantiated local
     /// treaties implies the global treaty (used by tests and debug
-    /// assertions).
-    pub fn config_is_valid(&self, config: &BTreeMap<VarName, i64>, db: &Database) -> bool {
-        let locals = self.local_treaties(config, db);
-        let antecedent: Vec<LinearConstraint> = locals
-            .iter()
-            .flat_map(|l| l.constraints.iter().cloned())
-            .collect();
-        let consequent = self.global().constraints;
-        homeo_solver::fm::implies(&antecedent, &consequent)
+    /// assertions; [`Self::satisfies_h1`] is the release-path check).
+    pub fn config_is_valid(&self, config: &[i64]) -> bool {
+        let locals = self.local_treaties(config);
+        let antecedent: Vec<LinearConstraint> =
+            locals.into_iter().flat_map(|l| l.constraints).collect();
+        fm::implies(&antecedent, &self.global().constraints)
     }
 }
 
 fn eval_on_db(expr: &LinExpr, db: &Database) -> i64 {
-    let assignment: BTreeMap<VarName, i64> = expr
-        .vars()
-        .map(|v| (v.clone(), db.get(&ObjId::new(v.clone()))))
-        .collect();
-    expr.eval(&assignment)
+    expr.eval_with(|name| db.get_by_name(name))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::optimizer::{optimize_timed, OptimizerConfig};
     use homeo_analysis::{JointSymbolicTable, SymbolicTable};
     use homeo_lang::programs;
+    use homeo_sim::{DetRng, Timer};
+    use homeo_solver::max_feasible_subset;
 
     /// The running example of Section 4: T1/T2 with x on site 0, y on site 1,
     /// initial database x = 10, y = 13, ψ : x + y ≥ 20.
@@ -300,6 +461,41 @@ mod tests {
         let psi = preprocess_guard(&row.guard, &db);
         let loc = Loc::from_pairs([("x", 0usize), ("y", 1usize)]);
         (psi, loc, db)
+    }
+
+    fn named(templates: &TreatyTemplates, config: &[i64]) -> BTreeMap<VarName, i64> {
+        let names = templates.clauses.iter().flat_map(|c| c.config_vars.iter());
+        names.cloned().zip(config.iter().copied()).collect()
+    }
+
+    /// A seeded template set over `sites` sites with the database it was
+    /// generated for: one to three clauses, each over its own objects
+    /// (spread over the sites, some sites left empty), `≤` with some slack or
+    /// — one time in five — a frozen `=`.
+    fn seeded_templates(rng: &mut DetRng, sites: usize) -> (TreatyTemplates, Database, Vec<ObjId>) {
+        let mut loc = Loc::new();
+        let mut db = Database::new();
+        let mut objects = Vec::new();
+        let mut psi = Vec::new();
+        for clause in 0..1 + rng.index(3) {
+            let mut lhs = LinExpr::zero();
+            let mut now = 0;
+            for i in 0..1 + rng.index(3) {
+                let obj = ObjId::new(format!("o{clause}_{i}"));
+                let (coeff, value) = ([-2, -1, 1, 1, 2][rng.index(5)], rng.int_inclusive(0, 30));
+                loc.assign(obj.clone(), rng.index(sites));
+                db.set(obj.clone(), value);
+                lhs.add_term(obj.as_str(), coeff);
+                now += coeff * value;
+                objects.push(obj);
+            }
+            psi.push(if rng.chance(0.2) {
+                LinearConstraint::eq(lhs, LinExpr::constant(now))
+            } else {
+                LinearConstraint::le(lhs, LinExpr::constant(now + rng.int_inclusive(0, 15)))
+            });
+        }
+        (TreatyTemplates::generate(&psi, &loc, sites), db, objects)
     }
 
     #[test]
@@ -317,9 +513,10 @@ mod tests {
         let templates = TreatyTemplates::generate(&psi, &loc, 2);
         let config = templates.default_config(&db);
         // H1: validity.
-        assert!(templates.config_is_valid(&config, &db));
+        assert!(templates.config_is_valid(&config));
+        assert!(templates.satisfies_h1(&config));
         // H2: the local treaties hold on D.
-        for local in templates.local_treaties(&config, &db) {
+        for local in templates.local_treaties(&config) {
             assert!(local.holds_on(&db), "local treaty for site {}", local.site);
             assert!(local.is_well_located(&loc));
         }
@@ -332,31 +529,23 @@ mod tests {
         // in our normalised (≤) orientation it is c0 + c1 ≥ -20·(K-1) for the
         // negated clause. Semantic check: the paper's configuration
         // (cy = 12, cx = 8) must be valid, (cy = 13, cx = 8) must not.
-        let (psi, loc, db) = paper_setup();
+        let (psi, loc, _) = paper_setup();
         let templates = TreatyTemplates::generate(&psi, &loc, 2);
-        // Find the configuration variable names for site 0 / site 1.
-        let clause = &templates.clauses[0];
-        let c0 = clause.config_vars[0].clone();
-        let c1 = clause.config_vars[1].clone();
         // Paper orientation: local treaty at site 0 is x + cy ≥ 20, i.e. in
-        // our encoding the config var at site 0 plays the role of cy.
-        let good: BTreeMap<VarName, i64> = [(c0.clone(), 12), (c1.clone(), 8)].into();
-        let bad: BTreeMap<VarName, i64> = [(c0, 13), (c1, 8)].into();
-        // Orientation note: ψ is stored as -x - y ≤ -20, so config values are
-        // negated relative to the paper; validity must still distinguish the
-        // two cases via the semantic check.
-        let good_valid =
-            templates.config_is_valid(&good.iter().map(|(k, v)| (k.clone(), -v)).collect(), &db);
-        let bad_valid =
-            templates.config_is_valid(&bad.iter().map(|(k, v)| (k.clone(), -v)).collect(), &db);
-        assert!(good_valid);
-        assert!(!bad_valid);
-        // And the syntactic hard constraints agree with the semantic check.
-        let hard = templates.hard_constraints();
-        let good_neg: BTreeMap<VarName, i64> = good.iter().map(|(k, v)| (k.clone(), -v)).collect();
-        let bad_neg: BTreeMap<VarName, i64> = bad.iter().map(|(k, v)| (k.clone(), -v)).collect();
-        assert!(hard.iter().all(|c| c.holds(&good_neg)));
-        assert!(!hard.iter().all(|c| c.holds(&bad_neg)));
+        // our encoding the config var at site 0 plays the role of cy. ψ is
+        // stored as -x - y ≤ -20, so config values are negated relative to
+        // the paper; validity must still distinguish the two cases via the
+        // semantic check.
+        let (good, bad) = ([-12, -8], [-13, -8]);
+        assert!(templates.config_is_valid(&good));
+        assert!(!templates.config_is_valid(&bad));
+        // The arithmetic check and the hard rows in their string form agree
+        // with the semantic check.
+        assert!(templates.satisfies_h1(&good));
+        assert!(!templates.satisfies_h1(&bad));
+        let hard = templates.h1_constraints();
+        assert!(hard.iter().all(|c| c.holds(&named(&templates, &good))));
+        assert!(!hard.iter().all(|c| c.holds(&named(&templates, &bad))));
     }
 
     #[test]
@@ -371,8 +560,8 @@ mod tests {
         let loc = Loc::from_pairs([("z", 0usize)]);
         let templates = TreatyTemplates::generate(&psi, &loc, 2);
         let config = templates.default_config(&db);
-        assert!(templates.config_is_valid(&config, &db));
-        for local in templates.local_treaties(&config, &db) {
+        assert!(templates.config_is_valid(&config));
+        for local in templates.local_treaties(&config) {
             assert!(local.holds_on(&db));
         }
     }
@@ -394,6 +583,26 @@ mod tests {
         // original guard.
         let other = Database::from_pairs([("x", 4), ("y", 6), ("z", 4)]);
         assert!(!crate::treaty::constraints_hold_on(&psi, &other));
+        // One template serves both databases: only the frozen equalities
+        // are redone, and each instantiation is what a fresh preprocessing
+        // yields — including when freezing makes a linear conjunct
+        // redundant (z = 4 frozen by the second guard's product).
+        let template = GuardTemplate::new(&guard);
+        assert!(!template.is_linear());
+        assert_eq!(template.instantiate(&db), psi);
+        assert_eq!(
+            template.instantiate(&other),
+            preprocess_guard(&guard, &other)
+        );
+        assert_ne!(template.instantiate(&other), psi);
+        let both = guard.and(read("z").mul(read("x")).ge(num(1)));
+        let template = GuardTemplate::new(&both);
+        for db in [&db, &other] {
+            let psi = template.instantiate(db);
+            assert_eq!(psi, preprocess_guard(&both, db));
+            assert_eq!(psi.len(), 3, "z ≥ 3 is implied by z = 4: {psi:?}");
+        }
+        assert!(GuardTemplate::new(&read("z").ge(num(3))).is_linear());
     }
 
     #[test]
@@ -404,10 +613,132 @@ mod tests {
         // configuration.
         let soft = templates.soft_group_for_db(&db);
         let config = templates.default_config(&db);
-        assert!(soft.iter().all(|c| c.holds(&config)));
-        // A database one decrement ahead produces a (weakly) tighter group.
+        assert!(templates.group_holds(&soft, &config));
+        // A database one decrement ahead produces a tighter group: the
+        // default for D no longer fits it, the default for the later
+        // database fits both.
         let later = Database::from_pairs([("x", 9), ("y", 13)]);
         let soft_later = templates.soft_group_for_db(&later);
         assert_eq!(soft.len(), soft_later.len());
+        assert!(!templates.group_holds(&soft_later, &config));
+        assert!(templates.group_holds(&soft, &templates.default_config(&later)));
+    }
+
+    #[test]
+    fn prepared_rows_solve_like_the_string_front_door() {
+        // Eleven and twelve sites: `c0@10` sorts before `c0@2`, so a
+        // configuration index is not a solver id.
+        let mut rng = DetRng::seed_from(0x007e_3a11);
+        let mut with_lemmas = 0;
+        for case in 0..300 {
+            let sites = [2, 3, 4, 11, 12][rng.index(5)];
+            let (templates, db, objects) = seeded_templates(&mut rng, sites);
+            let now = templates.soft_group_for_db(&db);
+            let futures: Vec<Vec<i64>> = (0..1 + rng.index(5))
+                .map(|_| {
+                    let mut future = db.clone();
+                    for _ in 0..1 + rng.index(3) {
+                        let obj = objects[rng.index(objects.len())].clone();
+                        future.add(obj, rng.int_inclusive(-3, 3));
+                    }
+                    templates.soft_group_for_db(&future)
+                })
+                .collect();
+            let mut hard = templates.h1_constraints();
+            hard.extend(templates.group_constraints(&now));
+            let soft: Vec<_> = futures
+                .iter()
+                .map(|g| templates.group_constraints(g))
+                .collect();
+            let expected = max_feasible_subset(&hard, &soft).expect("H2 holds on the database");
+            let got = templates.solve(&now, &futures).expect("same system");
+            assert_eq!(
+                templates.solve_named(&now, &futures).as_ref(),
+                Some(&got),
+                "case {case}: the string-keyed kernel"
+            );
+            assert_eq!(
+                (got.selected, got.cost, got.lemmas, got.gave_up),
+                (
+                    expected.selected,
+                    expected.cost,
+                    expected.lemmas,
+                    expected.gave_up
+                ),
+                "case {case}"
+            );
+            let names: Vec<&VarName> = templates
+                .clauses
+                .iter()
+                .flat_map(|c| c.config_vars.iter())
+                .collect();
+            let model = got.model.map(|model| {
+                let named = model.into_iter();
+                named
+                    .map(|(at, value)| (names[at].clone(), value))
+                    .collect::<BTreeMap<_, _>>()
+            });
+            assert_eq!(model, expected.model, "case {case}");
+            with_lemmas += usize::from(expected.lemmas > 0);
+        }
+        assert!(
+            with_lemmas >= 30,
+            "only {with_lemmas} cases learned a lemma"
+        );
+    }
+
+    #[test]
+    fn arithmetic_h1_agrees_with_the_implication() {
+        let mut rng = DetRng::seed_from(0x41_c0de);
+        let (mut optimized, mut rejected) = (0, 0);
+        for case in 0..500 {
+            let sites = 2 + rng.index(3);
+            let (templates, db, objects) = seeded_templates(&mut rng, sites);
+            let mut model = |current: &Database, rng: &mut DetRng| {
+                let mut next = current.clone();
+                next.add(
+                    objects[rng.index(objects.len())].clone(),
+                    rng.int_inclusive(-2, 2),
+                );
+                next
+            };
+            let cfg = OptimizerConfig {
+                lookahead: 1 + rng.index(6),
+                futures: 1 + rng.index(3),
+                seed: rng.int_inclusive(0, 1 << 40) as u64,
+            };
+            let result = optimize_timed(&templates, &db, &mut model, &cfg, Timer::fixed_zero());
+            let default = templates.default_config(&db);
+            for config in [&result.config, &default] {
+                assert!(templates.satisfies_h1(config), "case {case}: {config:?}");
+                assert!(templates.config_is_valid(config), "case {case}: {config:?}");
+            }
+            optimized += usize::from(result.config != default);
+
+            // Hand-built invalid configurations: take from a site that holds
+            // part of the clause one unit more than the clause's slack (or
+            // move an equality clause's variable at all). Both checks must
+            // reject each of them.
+            for (idx, clause) in templates.clauses.iter().enumerate() {
+                let Some(site) = (0..sites).find(|&k| !clause.site_terms[k].is_constant()) else {
+                    continue;
+                };
+                let at = templates.config_index(idx, site);
+                let sum: i64 = result.config[templates.config_index(idx, 0)..][..sites]
+                    .iter()
+                    .sum();
+                let slack = sum - (sites as i64 - 1) * clause.bound;
+                let mut invalid = result.config.clone();
+                invalid[at] -= slack + 1;
+                assert!(!templates.satisfies_h1(&invalid), "case {case}");
+                assert!(!templates.config_is_valid(&invalid), "case {case}");
+                rejected += 1;
+            }
+        }
+        assert!(
+            optimized >= 200,
+            "only {optimized} optimized configurations"
+        );
+        assert!(rejected >= 500, "only {rejected} invalid configurations");
     }
 }

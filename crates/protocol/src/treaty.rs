@@ -7,28 +7,27 @@
 //! treaty (H1), and every local treaty must hold on the database the round
 //! started from (H2).
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
-use homeo_solver::{LinearConstraint, VarName};
+use homeo_solver::LinearConstraint;
 
 use crate::model::{Loc, SiteId};
 
 /// Evaluates a set of linear constraints against a database (constraint
 /// variables are object names).
 pub fn constraints_hold_on(constraints: &[LinearConstraint], db: &Database) -> bool {
-    let mut assignment: BTreeMap<VarName, i64> = BTreeMap::new();
-    for c in constraints {
-        for v in c.vars() {
-            assignment
-                .entry(v.clone())
-                .or_insert_with(|| db.get(&ObjId::new(v.clone())));
-        }
-    }
-    constraints.iter().all(|c| c.holds(&assignment))
+    constraints_hold_with(constraints, |name| db.get_by_name(name))
+}
+
+/// Evaluates a set of linear constraints, reading each object a constraint
+/// mentions (and nothing else) through `value_of`.
+pub fn constraints_hold_with(
+    constraints: &[LinearConstraint],
+    mut value_of: impl FnMut(&str) -> i64,
+) -> bool {
+    constraints.iter().all(|c| c.holds_with(&mut value_of))
 }
 
 /// The global treaty: a conjunction of linear constraints over the global
@@ -82,6 +81,13 @@ impl LocalTreaty {
     /// True when the treaty holds on the (site-local view of the) database.
     pub fn holds_on(&self, db: &Database) -> bool {
         constraints_hold_on(&self.constraints, db)
+    }
+
+    /// True when the treaty holds on the values `value_of` reports: only the
+    /// objects the treaty mentions are read, so a site checks it against
+    /// its engine without materialising a view.
+    pub fn holds_with(&self, value_of: impl FnMut(&str) -> i64) -> bool {
+        constraints_hold_with(&self.constraints, value_of)
     }
 
     /// Checks that every mentioned object really is local to the treaty's

@@ -41,305 +41,464 @@
 //! attained by a non-dominated row, because among rows with equal terms the
 //! largest constant gives the tightest bound.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::dense::{DenseModel, RatRow, RowRef, Var, VarTable};
 use crate::linear::{CmpKind, LinearConstraint, VarName};
 use crate::rational::Rational;
 
-/// The outcome of a feasibility check.
+/// The outcome of a feasibility check. The string front doors report models
+/// keyed by variable name; the prepared API reports a [`DenseModel`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Feasibility {
+pub enum Feasibility<M = BTreeMap<VarName, i64>> {
     /// The conjunction has no solution over the rationals (hence none over
     /// the integers).
     Infeasible,
     /// An integer model satisfying every constraint.
-    Feasible(BTreeMap<VarName, i64>),
+    Feasible(M),
     /// The conjunction is feasible over the rationals but the bounded search
     /// did not produce an integer witness.
     FeasibleRationalOnly,
 }
 
-impl Feasibility {
+impl<M> Feasibility<M> {
     /// True unless the conjunction is infeasible.
     pub fn is_feasible(&self) -> bool {
         !matches!(self, Feasibility::Infeasible)
     }
 
     /// The integer model, if one was produced.
-    pub fn model(&self) -> Option<&BTreeMap<VarName, i64>> {
+    pub fn model(&self) -> Option<&M> {
         match self {
             Feasibility::Feasible(m) => Some(m),
             _ => None,
         }
     }
-}
 
-/// A linear expression with rational coefficients, used internally during
-/// elimination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RatExpr {
-    terms: BTreeMap<VarName, Rational>,
-    constant: Rational,
-}
-
-impl RatExpr {
-    fn from_constraint(c: &LinearConstraint) -> (Self, CmpKind) {
-        let mut terms = BTreeMap::new();
-        for (v, coeff) in c.expr.terms() {
-            terms.insert(v.clone(), Rational::from_int(coeff));
+    /// The same verdict with its model respelled (dense ids to names, say).
+    pub fn map_model<N>(self, respell: impl FnOnce(M) -> N) -> Feasibility<N> {
+        match self {
+            Feasibility::Infeasible => Feasibility::Infeasible,
+            Feasibility::Feasible(model) => Feasibility::Feasible(respell(model)),
+            Feasibility::FeasibleRationalOnly => Feasibility::FeasibleRationalOnly,
         }
-        (
-            RatExpr {
-                terms,
-                constant: Rational::from_int(c.expr.constant_part()),
-            },
-            c.op,
-        )
-    }
-
-    fn coeff(&self, v: &str) -> Rational {
-        self.terms.get(v).copied().unwrap_or(Rational::ZERO)
-    }
-
-    fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// self + k * other
-    fn add_scaled(&self, other: &RatExpr, k: Rational) -> RatExpr {
-        let mut terms = self.terms.clone();
-        for (v, c) in &other.terms {
-            let entry = terms.entry(v.clone()).or_insert(Rational::ZERO);
-            *entry = *entry + *c * k;
-        }
-        terms.retain(|_, c| !c.is_zero());
-        RatExpr {
-            terms,
-            constant: self.constant + other.constant * k,
-        }
-    }
-
-    /// Substitute v := replacement (an expression not containing v).
-    fn substitute(&self, v: &str, replacement: &RatExpr) -> RatExpr {
-        let c = self.coeff(v);
-        if c.is_zero() {
-            return self.clone();
-        }
-        let mut without = self.clone();
-        without.terms.remove(v);
-        without.add_scaled(replacement, c)
-    }
-
-    fn eval(&self, assignment: &BTreeMap<VarName, Rational>) -> Rational {
-        let mut total = self.constant;
-        for (v, c) in &self.terms {
-            total = total + *c * assignment.get(v).copied().unwrap_or(Rational::ZERO);
-        }
-        total
     }
 }
 
-/// A constraint `expr ≤ 0` (all strictness removed by integer tightening).
+/// Spells a dense model with the names the front door interned.
+pub(crate) fn named_model(model: DenseModel, table: &VarTable<'_>) -> BTreeMap<VarName, i64> {
+    model
+        .into_iter()
+        .map(|(var, value)| (table.name(var).to_string(), value))
+        .collect()
+}
+
+/// One row of a prepared system: `terms + constant ≤ 0`, or `= 0`.
 #[derive(Debug, Clone)]
-struct RatLe {
-    expr: RatExpr,
+struct RowHead {
+    /// The row's slice of [`Prepared::terms`].
+    terms: Range<usize>,
+    constant: Rational,
+    equality: bool,
 }
 
-/// Keeps, of every set of rows with equal terms, the one with the largest
-/// constant (see the module docs). A sort, so a handful of rows cost next to
-/// nothing.
-fn prune_dominated(rows: &mut Vec<RatLe>) {
-    if rows.len() < 2 {
-        return;
+/// A system of linear constraints converted once — strictness tightened
+/// away, coefficients rational, variables dense — and then checked any
+/// number of times, each check naming the rows it conjoins by index. The
+/// MaxSMT loop prepares the hard rows and every soft group once and probes
+/// subsets; an implication prepares the antecedent once and probes it with
+/// each negated consequent.
+///
+/// Ids must follow `VarName` order (see [`crate::dense`]).
+#[derive(Debug, Clone, Default)]
+pub struct Prepared {
+    vars: usize,
+    /// Every row's terms, back to back.
+    terms: Vec<(Var, Rational)>,
+    rows: Vec<RowHead>,
+}
+
+impl Prepared {
+    /// An empty system over the variables `0..vars`.
+    pub fn new(vars: usize) -> Self {
+        Prepared {
+            vars,
+            ..Prepared::default()
+        }
     }
-    rows.sort_by(|a, b| {
-        let by_terms = a.expr.terms.cmp(&b.expr.terms);
-        by_terms.then_with(|| b.expr.constant.cmp(&a.expr.constant))
-    });
-    rows.dedup_by(|later, kept| later.expr.terms == kept.expr.terms);
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the system has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Appends the row `Σ coeff·var + constant ⋈ 0` and returns its index.
+    /// `terms` must come in strictly ascending id order.
+    ///
+    /// # Panics
+    /// Panics on an id outside the system's variables.
+    pub fn push(
+        &mut self,
+        terms: impl IntoIterator<Item = (Var, i64)>,
+        constant: i64,
+        op: CmpKind,
+    ) -> usize {
+        let start = self.terms.len();
+        for (var, coeff) in terms {
+            assert!((var as usize) < self.vars, "variable {var} out of range");
+            debug_assert!(
+                self.terms[start..].last().is_none_or(|&(v, _)| v < var),
+                "row terms must be strictly ascending"
+            );
+            if coeff != 0 {
+                self.terms.push((var, Rational::from_int(coeff)));
+            }
+        }
+        // Over the integers `e < 0` is `e + 1 ≤ 0`, which leaves the
+        // elimination with `≤` and `=` only.
+        let constant = constant + i64::from(op == CmpKind::Lt);
+        self.rows.push(RowHead {
+            terms: start..self.terms.len(),
+            constant: Rational::from_int(constant),
+            equality: op == CmpKind::Eq,
+        });
+        self.rows.len() - 1
+    }
+
+    fn push_constraint(&mut self, table: &VarTable<'_>, c: &LinearConstraint) -> usize {
+        // `LinExpr` iterates in name order, which is id order.
+        let terms = c.expr.terms().map(|(v, coeff)| (table.id(v), coeff));
+        self.push(terms, c.expr.constant_part(), c.op)
+    }
+
+    /// Interns the constraints' variables and converts every constraint to
+    /// a row (row `i` is `constraints[i]`).
+    pub(crate) fn of<'a>(
+        constraints: impl IntoIterator<Item = &'a LinearConstraint> + Clone,
+    ) -> (Self, VarTable<'a>) {
+        let table = VarTable::of(constraints.clone());
+        let mut system = Prepared::new(table.len());
+        for c in constraints {
+            system.push_constraint(&table, c);
+        }
+        (system, table)
+    }
+
+    fn row(&self, index: usize) -> RowRef<'_> {
+        let head = &self.rows[index];
+        RowRef {
+            terms: &self.terms[head.terms.clone()],
+            constant: head.constant,
+        }
+    }
+
+    /// Checks the conjunction of the given rows over the integers and
+    /// extracts a model when possible.
+    pub fn check(&self, rows: impl IntoIterator<Item = usize>) -> Feasibility<DenseModel> {
+        match Elimination::run(self, rows) {
+            Some(eliminated) => eliminated.model(),
+            None => Feasibility::Infeasible,
+        }
+    }
+
+    /// True when the conjunction of the given rows has any solution; skips
+    /// the model.
+    pub fn is_feasible(&self, rows: impl IntoIterator<Item = usize>) -> bool {
+        Elimination::run(self, rows).is_some()
+    }
+}
+
+/// A row of one elimination: below `base.len()` a prepared row, above it a
+/// row the elimination derived. Untouched prepared rows are never copied.
+type Handle = usize;
+
+/// The state of one feasibility check that survived elimination: what
+/// back-substitution needs to build the model.
+struct Elimination<'a> {
+    base: &'a Prepared,
+    derived: Vec<RatRow>,
+    /// The non-trivial selected rows, for the final verification.
+    selected: Vec<usize>,
+    /// Variables solved through equalities, in substitution order.
+    substitutions: Vec<(Var, RatRow)>,
+    /// Eliminated variables, each with the (pruned) rows that mentioned it,
+    /// which by then mention later variables only.
+    stack: Vec<(Var, Vec<Handle>)>,
+}
+
+impl<'a> Elimination<'a> {
+    fn get(&self, handle: Handle) -> RowRef<'_> {
+        match handle.checked_sub(self.base.len()) {
+            None => self.base.row(handle),
+            Some(derived) => self.derived[derived].as_ref(),
+        }
+    }
+
+    fn derive(&mut self, row: RatRow) -> Handle {
+        self.derived.push(row);
+        self.base.len() + self.derived.len() - 1
+    }
+
+    /// Steps 0–3: `None` when the rows are infeasible.
+    fn run(base: &'a Prepared, rows: impl IntoIterator<Item = usize>) -> Option<Self> {
+        let mut this = Elimination {
+            base,
+            derived: Vec::new(),
+            selected: Vec::new(),
+            substitutions: Vec::new(),
+            stack: Vec::new(),
+        };
+        // Step 0: constant rows are decided on the spot.
+        let mut les: Vec<Handle> = Vec::new();
+        let mut eqs: Vec<Handle> = Vec::new();
+        for index in rows {
+            let head = &base.rows[index];
+            if head.terms.is_empty() {
+                let holds = if head.equality {
+                    head.constant.is_zero()
+                } else {
+                    !head.constant.is_positive()
+                };
+                if holds {
+                    continue;
+                }
+                return None;
+            }
+            this.selected.push(index);
+            if head.equality {
+                eqs.push(index);
+            } else {
+                les.push(index);
+            }
+        }
+
+        // Step 1: eliminate equalities by substitution, last one first,
+        // each solved for its first variable: a·v + rest = 0 ⇒ v = -rest / a.
+        while let Some(eq) = eqs.pop() {
+            let row = this.get(eq);
+            let Some(&(v, a)) = row.terms.first() else {
+                if !row.constant.is_zero() {
+                    return None;
+                }
+                continue;
+            };
+            let replacement = RatRow {
+                terms: row.terms[1..].iter().map(|&(k, c)| (k, -(c / a))).collect(),
+                constant: -(row.constant / a),
+            };
+            for slot in eqs.iter_mut().chain(les.iter_mut()) {
+                if let Some(new) = this.get(*slot).substitute(v, replacement.as_ref()) {
+                    *slot = this.derive(new);
+                }
+            }
+            this.substitutions.push((v, replacement));
+        }
+
+        // Step 2: Fourier–Motzkin over the inequalities, variables in
+        // ascending id order. Every variable below the one being eliminated
+        // is gone from every row, so the rows that mention it are exactly
+        // those whose first term does: bucket by first id. A constant row
+        // decides itself.
+        let mut mentioned = vec![false; base.vars];
+        let mut buckets: Vec<Vec<Handle>> = vec![Vec::new(); base.vars];
+        for &handle in &les {
+            let row = this.get(handle);
+            match row.terms.first() {
+                None if row.constant.is_positive() => return None,
+                None => {}
+                Some(&(first, _)) => {
+                    for &(v, _) in row.terms {
+                        mentioned[v as usize] = true;
+                    }
+                    buckets[first as usize].push(handle);
+                }
+            }
+        }
+        for v in (0..base.vars).filter(|&v| mentioned[v]) {
+            let mut mentioning = std::mem::take(&mut buckets[v]);
+            this.prune_dominated(&mut mentioning);
+            // Lower bounds: coefficient < 0 (v ≥ ...); upper bounds: > 0.
+            let (lowers, uppers): (Vec<Handle>, Vec<Handle>) = mentioning
+                .iter()
+                .partition(|&&h| this.get(h).terms[0].1.is_negative());
+            for &lo in &lowers {
+                for &up in &uppers {
+                    // lo: a·v + A ≤ 0 with a < 0  =>  v ≥ A / (-a)
+                    // up: b·v + B ≤ 0 with b > 0  =>  v ≤ -B / b
+                    // combined: A + (-a/b)·B ≤ 0 (scaled by 1/b > 0, sign safe)
+                    let (lo, up) = (this.get(lo), this.get(up));
+                    let (a, b) = (lo.terms[0].1, up.terms[0].1);
+                    let combined = lo.tail().add_scaled(up.tail(), -a / b);
+                    match combined.terms.first() {
+                        None if combined.constant.is_positive() => return None,
+                        None => {}
+                        Some(&(first, _)) => {
+                            let handle = this.derive(combined);
+                            buckets[first as usize].push(handle);
+                        }
+                    }
+                }
+            }
+            this.stack.push((v as Var, mentioning));
+        }
+        Some(this)
+    }
+
+    /// Keeps, of every set of rows with equal terms, the one with the largest
+    /// constant (see the module docs), in term order. A treaty's bounds on one
+    /// variable share a term vector, so the pass is linear in the rows times
+    /// the handful of distinct vectors among them.
+    fn prune_dominated(&self, rows: &mut Vec<Handle>) {
+        if rows.len() < 2 {
+            return;
+        }
+        let mut kept: Vec<Handle> = Vec::new();
+        for &row in rows.iter() {
+            let candidate = self.get(row);
+            match kept
+                .iter_mut()
+                .find(|kept| self.get(**kept).terms == candidate.terms)
+            {
+                Some(kept) if candidate.constant > self.get(*kept).constant => *kept = row,
+                Some(_) => {}
+                None => kept.push(row),
+            }
+        }
+        kept.sort_by(|&a, &b| self.get(a).terms.cmp(self.get(b).terms));
+        *rows = kept;
+    }
+
+    /// Steps 4–5: back-substitution, preferring integer witnesses, and the
+    /// final check of the integer model against the selected rows.
+    fn model(self) -> Feasibility<DenseModel> {
+        let vars = self.base.vars;
+        let mut values = vec![Rational::ZERO; vars];
+        let mut assigned = vec![false; vars];
+        for (v, rows) in self.stack.iter().rev() {
+            let mut lower: Option<Rational> = None;
+            let mut upper: Option<Rational> = None;
+            for &handle in rows {
+                let row = self.get(handle);
+                // a·v + value ≤ 0
+                let a = row.terms[0].1;
+                let bound = -(row.tail().eval(&values) / a);
+                if a.is_positive() {
+                    upper = Some(match upper {
+                        Some(u) if u < bound => u,
+                        _ => bound,
+                    });
+                } else {
+                    lower = Some(match lower {
+                        Some(l) if l > bound => l,
+                        _ => bound,
+                    });
+                }
+            }
+            values[*v as usize] = match (lower, upper) {
+                (Some(l), Some(u)) => {
+                    // Prefer an integer in [l, u]; fall back to l.
+                    let li = Rational::from_int(l.ceil() as i64);
+                    if li <= u {
+                        li
+                    } else {
+                        l
+                    }
+                }
+                (Some(l), None) => Rational::from_int(l.ceil() as i64),
+                (None, Some(u)) => Rational::from_int(u.floor() as i64),
+                (None, None) => Rational::ZERO,
+            };
+            assigned[*v as usize] = true;
+        }
+        // Variables eliminated through equalities, in reverse order.
+        for (v, replacement) in self.substitutions.iter().rev() {
+            values[*v as usize] = replacement.as_ref().eval(&values);
+            assigned[*v as usize] = true;
+        }
+
+        let mut model = DenseModel::new();
+        for v in (0..vars).filter(|&v| assigned[v]) {
+            match values[v].to_i64() {
+                Some(n) => model.push((v as Var, n)),
+                None => return Feasibility::FeasibleRationalOnly,
+            }
+        }
+        // Prepared rows have integer coefficients, and the model is zero
+        // wherever it is silent — as `values` still is.
+        let holds = |&index: &usize| {
+            let total = self.base.row(index).eval(&values);
+            if self.base.rows[index].equality {
+                total.is_zero()
+            } else {
+                !total.is_positive()
+            }
+        };
+        if self.selected.iter().all(holds) {
+            Feasibility::Feasible(model)
+        } else {
+            Feasibility::FeasibleRationalOnly
+        }
+    }
 }
 
 /// Checks the feasibility of a conjunction of linear constraints over the
 /// integers and extracts a model when possible.
 pub fn check_feasible(constraints: &[LinearConstraint]) -> Feasibility {
-    // Step 0: trivial checks and conversion to rational ≤ / = forms.
-    let mut les: Vec<RatLe> = Vec::new();
-    let mut eqs: Vec<RatExpr> = Vec::new();
-    for c in constraints {
-        if let Some(truth) = c.trivially() {
-            if truth {
-                continue;
-            }
-            return Feasibility::Infeasible;
-        }
-        let tightened = c.tightened();
-        let (expr, op) = RatExpr::from_constraint(&tightened);
-        match op {
-            CmpKind::Le => les.push(RatLe { expr }),
-            CmpKind::Eq => eqs.push(expr),
-            CmpKind::Lt => unreachable!("tightened() removes strict inequalities"),
-        }
-    }
-
-    // Step 1: eliminate equalities by substitution. Record the substitutions
-    // so the model can be reconstructed afterwards.
-    let mut substitutions: Vec<(VarName, RatExpr)> = Vec::new();
-    while let Some(eq) = eqs.pop() {
-        if eq.is_constant() {
-            if !eq.constant.is_zero() {
-                return Feasibility::Infeasible;
-            }
-            continue;
-        }
-        // Solve for the first variable: a·v + rest = 0  =>  v = -rest / a.
-        let (v, a) = {
-            let (v, a) = eq.terms.iter().next().expect("non-constant equality");
-            (v.clone(), *a)
-        };
-        let mut rest = eq.clone();
-        rest.terms.remove(&v);
-        let replacement = RatExpr {
-            terms: rest
-                .terms
-                .iter()
-                .map(|(k, c)| (k.clone(), -(*c / a)))
-                .collect(),
-            constant: -(rest.constant / a),
-        };
-        for e in eqs.iter_mut() {
-            *e = e.substitute(&v, &replacement);
-        }
-        for le in les.iter_mut() {
-            le.expr = le.expr.substitute(&v, &replacement);
-        }
-        substitutions.push((v, replacement));
-    }
-
-    // Step 2: Fourier–Motzkin elimination over the inequalities.
-    let mut vars: BTreeSet<VarName> = BTreeSet::new();
-    for le in &les {
-        vars.extend(le.expr.terms.keys().cloned());
-    }
-    // For each eliminated variable remember the constraints that mentioned it
-    // (in terms of later-eliminated variables only) for back-substitution.
-    let mut elimination_stack: Vec<(VarName, Vec<RatLe>)> = Vec::new();
-
-    for v in vars.iter() {
-        let (mut mentioning, rest): (Vec<RatLe>, Vec<RatLe>) =
-            les.drain(..).partition(|le| !le.expr.coeff(v).is_zero());
-        les = rest;
-        prune_dominated(&mut mentioning);
-        // Lower bounds: coefficient < 0 (v ≥ ...); upper bounds: coefficient > 0.
-        let lowers: Vec<&RatLe> = mentioning
-            .iter()
-            .filter(|le| le.expr.coeff(v).is_negative())
-            .collect();
-        let uppers: Vec<&RatLe> = mentioning
-            .iter()
-            .filter(|le| le.expr.coeff(v).is_positive())
-            .collect();
-        for lo in &lowers {
-            for up in &uppers {
-                // lo: a·v + A ≤ 0 with a < 0  =>  v ≥ A / (-a)
-                // up: b·v + B ≤ 0 with b > 0  =>  v ≤ -B / b
-                // combine: b·A + (-a)·B ≤ 0
-                let a = lo.expr.coeff(v);
-                let b = up.expr.coeff(v);
-                let mut lo_wo = lo.expr.clone();
-                lo_wo.terms.remove(v);
-                let mut up_wo = up.expr.clone();
-                up_wo.terms.remove(v);
-                let combined = lo_wo.add_scaled(&up_wo, -a / b).clone();
-                // combined = A + (-a/b)·B ≤ 0 (scaled by 1/b > 0, sign safe)
-                if combined.is_constant() {
-                    if combined.constant.is_positive() {
-                        return Feasibility::Infeasible;
-                    }
-                } else {
-                    les.push(RatLe { expr: combined });
-                }
-            }
-        }
-        elimination_stack.push((v.clone(), mentioning));
-    }
-
-    // Step 3: whatever remains must be constant.
-    for le in &les {
-        debug_assert!(le.expr.is_constant());
-        if le.expr.constant.is_positive() {
-            return Feasibility::Infeasible;
-        }
-    }
-
-    // Step 4: back-substitution to build a model.
-    let mut assignment: BTreeMap<VarName, Rational> = BTreeMap::new();
-    for (v, constraints) in elimination_stack.iter().rev() {
-        let mut lower: Option<Rational> = None;
-        let mut upper: Option<Rational> = None;
-        for le in constraints {
-            let a = le.expr.coeff(v);
-            let mut rest = le.expr.clone();
-            rest.terms.remove(v);
-            let value = rest.eval(&assignment);
-            // a·v + value ≤ 0
-            if a.is_positive() {
-                let bound = -(value / a);
-                upper = Some(match upper {
-                    Some(u) if u < bound => u,
-                    _ => bound,
-                });
-            } else {
-                let bound = -(value / a);
-                lower = Some(match lower {
-                    Some(l) if l > bound => l,
-                    _ => bound,
-                });
-            }
-        }
-        let choice = match (lower, upper) {
-            (Some(l), Some(u)) => {
-                // Prefer an integer in [l, u]; fall back to l.
-                let li = Rational::from_int(l.ceil() as i64);
-                if li <= u {
-                    li
-                } else {
-                    l
-                }
-            }
-            (Some(l), None) => Rational::from_int(l.ceil() as i64),
-            (None, Some(u)) => Rational::from_int(u.floor() as i64),
-            (None, None) => Rational::ZERO,
-        };
-        assignment.insert(v.clone(), choice);
-    }
-    // Variables eliminated through equalities, in reverse order.
-    for (v, replacement) in substitutions.iter().rev() {
-        let value = replacement.eval(&assignment);
-        assignment.insert(v.clone(), value);
-    }
-
-    // Step 5: verify and return an integer model when possible.
-    let mut int_model: BTreeMap<VarName, i64> = BTreeMap::new();
-    for (v, value) in &assignment {
-        match value.to_i64() {
-            Some(n) => {
-                int_model.insert(v.clone(), n);
-            }
-            None => return Feasibility::FeasibleRationalOnly,
-        }
-    }
-    if constraints.iter().all(|c| c.holds(&int_model)) {
-        Feasibility::Feasible(int_model)
-    } else {
-        Feasibility::FeasibleRationalOnly
-    }
+    let (system, table) = Prepared::of(constraints);
+    let checked = system.check(0..system.len());
+    checked.map_model(|model| named_model(model, &table))
 }
 
 /// Convenience wrapper: true when the conjunction has any solution.
 pub fn is_feasible(constraints: &[LinearConstraint]) -> bool {
-    check_feasible(constraints).is_feasible()
+    let (system, _) = Prepared::of(constraints);
+    system.is_feasible(0..system.len())
+}
+
+/// An antecedent prepared beside the negations of the constraints it may
+/// have to imply: rows `0..antecedent` are the antecedent, and
+/// `disjuncts[i]` are the rows of `¬consequent[i]`.
+struct Implication {
+    system: Prepared,
+    disjuncts: Vec<Range<usize>>,
+}
+
+impl Implication {
+    fn of(antecedent: &[LinearConstraint], consequent: &[LinearConstraint]) -> Self {
+        // A negation mentions the variables of what it negates.
+        let table = VarTable::of(antecedent.iter().chain(consequent));
+        let mut system = Prepared::new(table.len());
+        for c in antecedent {
+            system.push_constraint(&table, c);
+        }
+        let disjuncts = consequent
+            .iter()
+            .map(|c| {
+                let start = system.len();
+                for disjunct in negate_constraint(c) {
+                    system.push_constraint(&table, &disjunct);
+                }
+                start..system.len()
+            })
+            .collect();
+        Implication { system, disjuncts }
+    }
+
+    /// Whether the given antecedent rows imply consequent `i`: `¬c` may be
+    /// a disjunction (for equalities), and the implication fails if any
+    /// disjunct is consistent with the antecedent.
+    fn holds(&self, antecedent: impl Iterator<Item = usize> + Clone, i: usize) -> bool {
+        let mut disjuncts = self.disjuncts[i].clone();
+        disjuncts.all(|d| !self.system.is_feasible(antecedent.clone().chain([d])))
+    }
 }
 
 /// Checks whether `antecedent ⇒ consequent` holds for every integer
@@ -349,16 +508,32 @@ pub fn is_feasible(constraints: &[LinearConstraint]) -> bool {
 /// clause by clause: the implication holds iff for every constraint `c` in
 /// `consequent`, `antecedent ∧ ¬c` is infeasible.
 pub fn implies(antecedent: &[LinearConstraint], consequent: &[LinearConstraint]) -> bool {
-    consequent.iter().all(|c| {
-        let negs = negate_constraint(c);
-        // ¬c may itself be a disjunction (for equalities); the implication
-        // fails if any disjunct is consistent with the antecedent.
-        negs.iter().all(|disjunct| {
-            let mut system: Vec<LinearConstraint> = antecedent.to_vec();
-            system.push(disjunct.clone());
-            !is_feasible(&system)
-        })
-    })
+    let implication = Implication::of(antecedent, consequent);
+    (0..consequent.len()).all(|i| implication.holds(0..antecedent.len(), i))
+}
+
+/// Drops, front to back, every constraint the remaining ones imply (e.g. the
+/// `x + y ≥ 10` clause subsumed by `x + y ≥ 20` in the Figure 4c row). The
+/// system and every negation are prepared once; a candidate is probed by
+/// leaving its row out.
+pub fn remove_redundant(constraints: Vec<LinearConstraint>) -> Vec<LinearConstraint> {
+    let implication = Implication::of(&constraints, &constraints);
+    let mut kept: Vec<usize> = (0..constraints.len()).collect();
+    let mut i = 0;
+    while i < kept.len() && kept.len() > 1 {
+        let candidate = kept[i];
+        let rest = kept.iter().copied().filter(|&k| k != candidate);
+        if implication.holds(rest, candidate) {
+            kept.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    let mut kept = kept.into_iter().peekable();
+    let constraints = constraints.into_iter().enumerate();
+    constraints
+        .filter_map(|(i, c)| kept.next_if_eq(&i).map(|_| c))
+        .collect()
 }
 
 /// Negates a single linear constraint over the integers, returning the

@@ -8,15 +8,23 @@
 //!
 //! * exact rational arithmetic ([`rational`]),
 //! * linear integer arithmetic atoms and conjunctions ([`linear`]),
+//! * the dense row form the elimination kernel runs on — variables interned
+//!   to ids in name order, rows as sorted `(id, coeff)` vectors ([`dense`]),
 //! * feasibility + model extraction for conjunctions of linear constraints
 //!   via Fourier–Motzkin elimination with Gaussian substitution for
-//!   equalities ([`fm`]),
+//!   equalities ([`fm`]): the dense kernel, entered either through the string
+//!   front doors ([`check_feasible`], [`max_feasible_subset`]) or through a
+//!   system prepared once and probed by row index ([`Prepared`],
+//!   [`max_feasible_rows`]),
 //! * a propositional CNF representation and a DPLL SAT solver ([`sat`]),
 //! * the Fu-Malik partial-MaxSAT algorithm with deletion-based unsat-core
 //!   extraction ([`maxsat`]),
 //! * a lazy MaxSMT loop over linear-arithmetic soft groups
 //!   ([`maxsmt`]) — the engine behind the treaty-configuration optimizer
-//!   (Algorithm 1 in the paper).
+//!   (Algorithm 1 in the paper),
+//! * the previous, string-keyed elimination kernel ([`string_kernel`]), kept
+//!   for counter allowance negotiation alone until a change that claims the
+//!   simulator's throughput removes it — its module docs say why.
 //!
 //! Everything is deterministic and dependency-free, which keeps protocol
 //! rounds and benchmarks reproducible.
@@ -24,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dense;
 pub mod fm;
 pub mod linear;
 pub mod maxsat;
@@ -32,10 +41,12 @@ pub mod rational;
 #[cfg(test)]
 mod reference;
 pub mod sat;
+pub mod string_kernel;
 
-pub use fm::{check_feasible, Feasibility};
+pub use dense::{DenseModel, Var};
+pub use fm::{check_feasible, Feasibility, Prepared};
 pub use linear::{CmpKind, LinExpr, LinearConstraint, VarName};
 pub use maxsat::{FuMalik, MaxSatResult};
-pub use maxsmt::{max_feasible_subset, MaxSmtResult, SoftGroup};
+pub use maxsmt::{max_feasible_rows, max_feasible_subset, MaxSmtResult, SoftGroup};
 pub use rational::Rational;
 pub use sat::{Clause, Cnf, DpllSolver, Literal, SatResult, VarId};

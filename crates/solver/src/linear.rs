@@ -6,6 +6,7 @@
 //! Treaty templates, local treaties and the preprocessed global treaty ψ are
 //! all conjunctions of such constraints.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -80,17 +81,16 @@ impl LinExpr {
         if coeff == 0 {
             return;
         }
-        let entry = self.terms.entry(name.into()).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            // Remove cancelled terms to keep equality structural.
-            let key = self
-                .terms
-                .iter()
-                .find(|(_, v)| **v == 0)
-                .map(|(k, _)| k.clone());
-            if let Some(k) = key {
-                self.terms.remove(&k);
+        // Cancelled terms are removed to keep equality structural.
+        match self.terms.entry(name.into()) {
+            Entry::Vacant(slot) => {
+                slot.insert(coeff);
+            }
+            Entry::Occupied(mut slot) => {
+                *slot.get_mut() += coeff;
+                if *slot.get() == 0 {
+                    slot.remove();
+                }
             }
         }
     }
@@ -128,12 +128,14 @@ impl LinExpr {
 
     /// Evaluates the expression under an assignment (missing variables are 0).
     pub fn eval(&self, assignment: &BTreeMap<VarName, i64>) -> i64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|(v, c)| c * assignment.get(v).copied().unwrap_or(0))
-                .sum::<i64>()
+        self.eval_with(|v| assignment.get(v).copied().unwrap_or(0))
+    }
+
+    /// Evaluates the expression, asking `value_of` for each variable it
+    /// mentions — the values can live wherever the caller keeps them.
+    pub fn eval_with(&self, mut value_of: impl FnMut(&str) -> i64) -> i64 {
+        let terms = self.terms.iter();
+        self.constant + terms.map(|(v, c)| c * value_of(v)).sum::<i64>()
     }
 
     /// Substitutes a concrete value for a variable.
@@ -268,6 +270,11 @@ impl LinearConstraint {
     /// Evaluates the constraint under an integer assignment.
     pub fn holds(&self, assignment: &BTreeMap<VarName, i64>) -> bool {
         self.op.eval(self.expr.eval(assignment), 0)
+    }
+
+    /// Evaluates the constraint, asking `value_of` for each variable.
+    pub fn holds_with(&self, value_of: impl FnMut(&str) -> i64) -> bool {
+        self.op.eval(self.expr.eval_with(value_of), 0)
     }
 
     /// Substitutes a concrete value for a variable.

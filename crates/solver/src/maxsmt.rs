@@ -21,10 +21,12 @@
 //!    blocking clause, then repeat.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::fm::{check_feasible, Feasibility};
+use crate::dense::DenseModel;
+use crate::fm::{named_model, Feasibility, Prepared};
 use crate::linear::{LinearConstraint, VarName};
 use crate::maxsat::FuMalik;
 use crate::sat::{deletion_core, Clause, Cnf, Literal};
@@ -33,15 +35,16 @@ use crate::sat::{deletion_core, Clause, Cnf, Literal};
 /// together (e.g. "no treaty violation in sampled future database Dⱼ").
 pub type SoftGroup = Vec<LinearConstraint>;
 
-/// The result of a MaxSMT call.
+/// The result of a MaxSMT call. The string front door reports the model
+/// keyed by variable name; the prepared API reports a [`DenseModel`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MaxSmtResult {
+pub struct MaxSmtResult<M = BTreeMap<VarName, i64>> {
     /// Indices of the soft groups that are jointly satisfiable with the hard
     /// constraints (a maximum-cardinality such set).
     pub selected: Vec<usize>,
     /// An integer model satisfying the hard constraints and every selected
     /// group, when one could be extracted.
-    pub model: Option<BTreeMap<VarName, i64>>,
+    pub model: Option<M>,
     /// Number of soft groups left unsatisfied (`soft.len() - selected.len()`).
     pub cost: usize,
     /// Number of theory lemmas (blocking clauses) learned.
@@ -51,10 +54,23 @@ pub struct MaxSmtResult {
     pub gave_up: bool,
 }
 
+impl<M> MaxSmtResult<M> {
+    /// The same result with its model respelled (dense ids to names, say).
+    pub fn map_model<N>(self, respell: impl FnOnce(M) -> N) -> MaxSmtResult<N> {
+        MaxSmtResult {
+            selected: self.selected,
+            model: self.model.map(respell),
+            cost: self.cost,
+            lemmas: self.lemmas,
+            gave_up: self.gave_up,
+        }
+    }
+}
+
 /// Safety bound on the lemma loop: each iteration learns a new blocking
 /// clause over the selectors, so 2^n is a hard ceiling; in practice a handful
 /// suffice.
-const MAX_LEMMAS: usize = 10_000;
+pub(crate) const MAX_LEMMAS: usize = 10_000;
 
 /// Computes a maximum-cardinality subset of `soft_groups` that is jointly
 /// feasible with `hard`, together with an integer model.
@@ -64,30 +80,83 @@ pub fn max_feasible_subset(
     hard: &[LinearConstraint],
     soft_groups: &[SoftGroup],
 ) -> Option<MaxSmtResult> {
-    search(hard, soft_groups, MAX_LEMMAS)
+    search_named(hard, soft_groups, MAX_LEMMAS)
 }
 
-fn search(
+/// The string front door: interns the names, lays the constraints out as
+/// one prepared system (hard rows first, then each group's rows) and names
+/// the model on the way out.
+fn search_named(
     hard: &[LinearConstraint],
     soft_groups: &[SoftGroup],
     max_lemmas: usize,
 ) -> Option<MaxSmtResult> {
+    let (system, table) = Prepared::of(hard.iter().chain(soft_groups.iter().flatten()));
+    let mut next = hard.len();
+    let groups: Vec<Range<usize>> = soft_groups
+        .iter()
+        .map(|group| {
+            let start = next;
+            next += group.len();
+            start..next
+        })
+        .collect();
+    let res = search_rows(&system, 0..hard.len(), &groups, max_lemmas)?;
+    Some(res.map_model(|model| named_model(model, &table)))
+}
+
+/// [`max_feasible_subset`] over a system prepared by the caller: `hard` and
+/// each of `groups` are row ranges of `system`. Every probe conjoins rows by
+/// index; nothing is converted twice.
+pub fn max_feasible_rows(
+    system: &Prepared,
+    hard: Range<usize>,
+    groups: &[Range<usize>],
+) -> Option<MaxSmtResult<DenseModel>> {
+    search_rows(system, hard, groups, MAX_LEMMAS)
+}
+
+/// The rows of one probe: the hard rows, then each chosen group's.
+fn conjoin<'a>(
+    hard: &Range<usize>,
+    groups: &'a [Range<usize>],
+    indices: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    let soft = indices.iter().flat_map(|&j| groups[j].clone());
+    hard.clone().chain(soft)
+}
+
+fn search_rows(
+    system: &Prepared,
+    hard: Range<usize>,
+    groups: &[Range<usize>],
+    max_lemmas: usize,
+) -> Option<MaxSmtResult<DenseModel>> {
+    search(
+        groups.len(),
+        max_lemmas,
+        |indices| system.check(conjoin(&hard, groups, indices)),
+        |indices| system.is_feasible(conjoin(&hard, groups, indices)),
+    )
+}
+
+/// The lemma loop over `n` soft groups. The theory is the caller's: `check`
+/// decides the hard constraints with the given groups (none: the hard
+/// constraints alone) and extracts a model, `is_feasible` decides the same
+/// without one.
+pub(crate) fn search<M>(
+    n: usize,
+    max_lemmas: usize,
+    check: impl Fn(&[usize]) -> Feasibility<M>,
+    is_feasible: impl Fn(&[usize]) -> bool,
+) -> Option<MaxSmtResult<M>> {
     // The hard system on its own is solved once: it decides `None`, and its
     // model is the answer should the lemma bound be hit.
-    let hard_only = match check_feasible(hard) {
+    let hard_only = match check(&[]) {
         Feasibility::Infeasible => return None,
         Feasibility::Feasible(model) => Some(model),
         Feasibility::FeasibleRationalOnly => None,
     };
-    // The theory check: the hard constraints with the given groups.
-    let with_groups = |indices: &[usize]| {
-        let mut system: Vec<LinearConstraint> = hard.to_vec();
-        for &j in indices {
-            system.extend(soft_groups[j].iter().cloned());
-        }
-        check_feasible(&system)
-    };
-    let n = soft_groups.len();
     let mut cnf = Cnf::new(n);
     let soft_clauses: Vec<Clause> = (0..n).map(|j| Clause::new([Literal::pos(j)])).collect();
     let mut engine = FuMalik::new();
@@ -97,11 +166,11 @@ fn search(
             .solve(&cnf, &soft_clauses)
             .expect("selector abstraction is always satisfiable")
             .satisfied_soft;
-        match with_groups(&selected) {
+        match check(&selected) {
             Feasibility::Infeasible => {
                 // Shrink to a minimal infeasible subset of the selected
                 // groups (deletion-based), then block it.
-                let core = deletion_core(&selected, |subset| !with_groups(subset).is_feasible());
+                let core = deletion_core(&selected, |subset| !is_feasible(subset));
                 debug_assert!(!core.is_empty());
                 cnf.add_clause(Clause::new(core.iter().map(|&j| Literal::neg(j))));
             }
@@ -239,7 +308,7 @@ mod tests {
             vec![LinearConstraint::ge(var("c"), num(8))],
             vec![LinearConstraint::le(var("c"), num(2))],
         ];
-        let stopped = search(&hard, &soft, 1).unwrap();
+        let stopped = search_named(&hard, &soft, 1).unwrap();
         assert!(stopped.gave_up);
         assert!(stopped.selected.is_empty());
         assert_eq!((stopped.cost, stopped.lemmas), (2, 1));

@@ -143,6 +143,11 @@ impl From<i64> for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
+        if self.den == rhs.den {
+            // Integers, mostly: no cross-multiplication, and no gcd when the
+            // shared denominator is 1.
+            return Rational::new(self.num + rhs.num, self.den);
+        }
         Rational::new(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
     }
 }
@@ -187,6 +192,9 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         (self.num * other.den).cmp(&(other.num * self.den))
     }
 }

@@ -1,12 +1,15 @@
-//! The solver kernel as it was before dominance pruning, kept verbatim as
-//! the oracle of the differential tests: Fourier–Motzkin elimination that
-//! keeps every dominated row, a MaxSMT loop with a fresh Fu-Malik engine and
-//! a re-solved hard system per lemma, and a DPLL that copies the formula and
-//! appends the assumptions as unit clauses. The production [`crate::fm`],
-//! [`crate::maxsmt`] and [`crate::sat`] must return the same [`Feasibility`]
-//! (variant *and* model), the same [`MaxSmtResult`] and the same
-//! [`SatResult`] (verdict *and* model — the MaxSAT layer reads its selection
-//! off the model) on every input.
+//! The solver kernel as it was before dominance pruning and dense rows,
+//! kept verbatim as the oracle of the differential tests: Fourier–Motzkin
+//! elimination over string-keyed rows that keeps every dominated row, a
+//! MaxSMT loop with a fresh Fu-Malik engine and a re-solved hard system per
+//! lemma, and a DPLL that copies the formula and appends the assumptions as
+//! unit clauses. The production [`crate::fm`], [`crate::maxsmt`] and
+//! [`crate::sat`] must return the same [`Feasibility`] (variant *and*
+//! model), the same [`MaxSmtResult`] and the same [`SatResult`] (verdict
+//! *and* model — the MaxSAT layer reads its selection off the model) on
+//! every input, through the string front doors and through the prepared,
+//! index-probed API alike — and so must [`crate::string_kernel`], the
+//! pruned string-keyed kernel the counter path still solves with.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -520,6 +523,7 @@ mod tests {
     use homeo_sim::DetRng;
 
     use super::*;
+    use crate::fm::Prepared;
     use crate::linear::LinExpr;
 
     /// Configuration-variable names as the templates spell them; site 10 and
@@ -571,6 +575,93 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// A system laid out the way a caller of the prepared API would: names
+    /// ranked by hand, the rows pushed with `decoys` (rows the check must
+    /// ignore) interleaved. Returns the system, the names by id and where
+    /// each of `rows` landed.
+    fn prepare(
+        rows: &[&LinearConstraint],
+        decoys: &[LinearConstraint],
+    ) -> (Prepared, Vec<VarName>, Vec<usize>) {
+        let all = || rows.iter().copied().chain(decoys);
+        let names: BTreeSet<VarName> = all().flat_map(|c| c.vars().cloned()).collect();
+        let names: Vec<VarName> = names.into_iter().collect();
+        let id = |v: &VarName| names.binary_search(v).unwrap() as crate::Var;
+        let mut system = Prepared::new(names.len());
+        let mut push = |c: &LinearConstraint| {
+            let terms = c.expr.terms().map(|(v, coeff)| (id(v), coeff));
+            system.push(terms, c.expr.constant_part(), c.op)
+        };
+        let mut decoys = decoys.iter();
+        let mut at = Vec::with_capacity(rows.len());
+        for row in rows {
+            if let Some(decoy) = decoys.next() {
+                push(decoy);
+            }
+            at.push(push(row));
+        }
+        decoys.for_each(|decoy| {
+            push(decoy);
+        });
+        (system, names, at)
+    }
+
+    fn name_model(model: crate::DenseModel, names: &[VarName]) -> BTreeMap<VarName, i64> {
+        let named = model.into_iter();
+        named.map(|(v, n)| (names[v as usize].clone(), n)).collect()
+    }
+
+    /// `check_feasible` through the prepared API, probing by row index.
+    fn check_prepared(system: &[LinearConstraint], decoys: &[LinearConstraint]) -> Feasibility {
+        let rows: Vec<&LinearConstraint> = system.iter().collect();
+        let (prepared, names, at) = prepare(&rows, decoys);
+        assert_eq!(
+            prepared.is_feasible(at.iter().copied()),
+            prepared.check(at.iter().copied()).is_feasible()
+        );
+        let checked = prepared.check(at);
+        checked.map_model(|model| name_model(model, &names))
+    }
+
+    /// `max_feasible_subset` through the prepared API.
+    fn max_prepared(hard: &[LinearConstraint], soft: &[SoftGroup]) -> Option<MaxSmtResult> {
+        let rows: Vec<&LinearConstraint> = hard.iter().chain(soft.iter().flatten()).collect();
+        let (prepared, names, _) = prepare(&rows, &[]);
+        let mut next = hard.len();
+        let groups: Vec<std::ops::Range<usize>> = soft
+            .iter()
+            .map(|group| {
+                let start = next;
+                next += group.len();
+                start..next
+            })
+            .collect();
+        let res = crate::maxsmt::max_feasible_rows(&prepared, 0..hard.len(), &groups)?;
+        Some(res.map_model(|model| name_model(model, &names)))
+    }
+
+    /// `remove_redundant` as the protocol had it: every candidate checked
+    /// against a fresh copy of the others, here with the reference kernel.
+    fn remove_redundant(mut constraints: Vec<LinearConstraint>) -> Vec<LinearConstraint> {
+        let mut i = 0;
+        while i < constraints.len() && constraints.len() > 1 {
+            let mut rest = constraints.clone();
+            let candidate = rest.remove(i);
+            let implied = crate::fm::negate_constraint(&candidate).iter().all(|d| {
+                rest.push(d.clone());
+                let refuted = !check_feasible(&rest).is_feasible();
+                rest.pop();
+                refuted
+            });
+            if implied {
+                constraints.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        constraints
     }
 
     #[test]
@@ -627,11 +718,23 @@ mod tests {
             // The reference multiplies its rows by `uppers` per variable.
             let uppers = 1 + rng.index(if n <= 4 { 5 } else { 2 });
             let system = treaty_system(&mut rng, n, uppers);
+            let decoy_vars = 2 + rng.index(9);
+            let decoys = treaty_system(&mut rng, decoy_vars, 1);
             let expected = check_feasible(&system);
             assert_eq!(
                 crate::fm::check_feasible(&system),
                 expected,
                 "treaty case {case}: {system:?}"
+            );
+            assert_eq!(
+                crate::string_kernel::check_feasible(&system),
+                expected,
+                "string-keyed treaty case {case}: {system:?}"
+            );
+            assert_eq!(
+                check_prepared(&system, &decoys),
+                expected,
+                "prepared treaty case {case}: {system:?}"
             );
             tally(&expected);
         }
@@ -639,13 +742,25 @@ mod tests {
             let vars = 2 + rng.index(5);
             let rows = 2 + rng.index(7);
             let system = general_system(&mut rng, vars, rows);
+            let decoy_rows = rng.index(4);
+            let decoys = general_system(&mut rng, 7, decoy_rows);
             let expected = check_feasible(&system);
             assert_eq!(
                 crate::fm::check_feasible(&system),
                 expected,
                 "general case {case}: {system:?}"
             );
+            assert_eq!(
+                crate::string_kernel::check_feasible(&system),
+                expected,
+                "string-keyed general case {case}: {system:?}"
+            );
             assert_eq!(crate::fm::is_feasible(&system), expected.is_feasible());
+            assert_eq!(
+                check_prepared(&system, &decoys),
+                expected,
+                "prepared general case {case}: {system:?}"
+            );
             tally(&expected);
         }
         // The generators must reach every verdict, or the test proves little.
@@ -689,6 +804,16 @@ mod tests {
                 expected,
                 "treaty case {case}: hard {hard:?} soft {soft:?}"
             );
+            assert_eq!(
+                crate::string_kernel::max_feasible_subset(&hard, &soft),
+                expected,
+                "string-keyed treaty case {case}: hard {hard:?} soft {soft:?}"
+            );
+            assert_eq!(
+                max_prepared(&hard, &soft),
+                expected,
+                "prepared treaty case {case}: hard {hard:?} soft {soft:?}"
+            );
             match &expected {
                 Some(res) if res.lemmas > 0 => with_lemmas += 1,
                 None => unsat_hard += 1,
@@ -711,6 +836,16 @@ mod tests {
                 expected,
                 "general case {case}: hard {hard:?} soft {soft:?}"
             );
+            assert_eq!(
+                crate::string_kernel::max_feasible_subset(&hard, &soft),
+                expected,
+                "string-keyed general case {case}: hard {hard:?} soft {soft:?}"
+            );
+            assert_eq!(
+                max_prepared(&hard, &soft),
+                expected,
+                "prepared general case {case}: hard {hard:?} soft {soft:?}"
+            );
             match &expected {
                 Some(res) if res.lemmas > 0 => with_lemmas += 1,
                 None => unsat_hard += 1,
@@ -722,5 +857,45 @@ mod tests {
             "only {with_lemmas} cases learned a lemma"
         );
         assert!(unsat_hard >= 5, "only {unsat_hard} infeasible hard systems");
+    }
+
+    #[test]
+    fn implication_and_redundancy_match_the_reference_on_seeded_systems() {
+        let mut rng = DetRng::seed_from(0x01e5_50b5);
+        let (mut implied, mut dropped) = (0usize, 0usize);
+        for case in 0..1_000 {
+            let vars = 2 + rng.index(3);
+            let rows = 2 + rng.index(5);
+            let mut system = general_system(&mut rng, vars, rows);
+            if rng.chance(0.5) {
+                // A weaker copy of a row, which the row implies.
+                let mut weaker = system[rng.index(system.len())].clone();
+                weaker.expr.add_constant(-rng.int_inclusive(0, 3));
+                system.insert(rng.index(system.len() + 1), weaker);
+            }
+            let (antecedent, consequent) = system.split_at(system.len() / 2);
+            let expected = consequent.iter().all(|c| {
+                crate::fm::negate_constraint(c).iter().all(|d| {
+                    let mut with = antecedent.to_vec();
+                    with.push(d.clone());
+                    !check_feasible(&with).is_feasible()
+                })
+            });
+            assert_eq!(
+                crate::fm::implies(antecedent, consequent),
+                expected,
+                "case {case}: {antecedent:?} => {consequent:?}"
+            );
+            implied += usize::from(expected);
+            let kept = remove_redundant(system.clone());
+            assert_eq!(
+                crate::fm::remove_redundant(system.clone()),
+                kept,
+                "case {case}: {system:?}"
+            );
+            dropped += usize::from(kept.len() < system.len());
+        }
+        assert!((50..950).contains(&implied), "{implied} implications hold");
+        assert!((200..1_000).contains(&dropped), "{dropped} systems shrank");
     }
 }

@@ -46,8 +46,8 @@ fn parsed_workload_flows_through_analysis_and_treaties() {
     let loc = Loc::from_pairs([("balance", 0usize), ("audit_count", 1usize)]);
     let templates = TreatyTemplates::generate(&psi, &loc, 2);
     let config = templates.default_config(&db);
-    assert!(templates.config_is_valid(&config, &db));
-    for local in templates.local_treaties(&config, &db) {
+    assert!(templates.config_is_valid(&config));
+    for local in templates.local_treaties(&config) {
         assert!(local.holds_on(&db));
         assert!(local.is_well_located(&loc));
     }
@@ -143,5 +143,5 @@ fn store_engine_recovery_preserves_protocol_state() {
         2,
     );
     let config = templates.default_config(&db);
-    assert!(templates.config_is_valid(&config, &db));
+    assert!(templates.config_is_valid(&config));
 }
