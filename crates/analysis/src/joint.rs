@@ -5,7 +5,14 @@
 //! evaluated transaction per member. It is built from the per-transaction
 //! tables by taking the cross product and conjoining the guards (Figure 4c),
 //! pruning combinations whose conjunction is unsatisfiable.
+//!
+//! Members that share no object cannot prune each other (Section 5.1's
+//! disjoint-footprint argument): when a member row's guard constrains no
+//! variable that an earlier member's guards constrain, a conjunction with it
+//! is satisfiable iff the guard is, which is decided once per member row
+//! instead of once per combination.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -14,7 +21,7 @@ use homeo_lang::ast::BExp;
 use homeo_lang::database::Database;
 use homeo_lang::eval::{EvalError, ParamBinding};
 
-use crate::linearize::is_satisfiable;
+use crate::linearize::{any_feasible, bexp_to_dnf, conjoined_disjuncts, is_satisfiable};
 use crate::symbolic::{eval_guard, PartialTxn, SymbolicTable};
 
 /// One row of a joint symbolic table.
@@ -36,6 +43,37 @@ pub struct JointSymbolicTable {
     pub rows: Vec<JointRow>,
 }
 
+/// What [`is_satisfiable`] works out about one member row's guard.
+struct GuardFacts {
+    /// The size of the guard's DNF; `None` when it has none, which makes
+    /// every conjunction with it conservatively satisfiable.
+    disjuncts: Option<usize>,
+    satisfiable: bool,
+    /// The solver variables the guard constrains (none without a DNF).
+    vars: BTreeSet<String>,
+}
+
+impl GuardFacts {
+    fn of(guard: &BExp) -> Self {
+        match bexp_to_dnf(guard) {
+            Ok(dnf) => GuardFacts {
+                disjuncts: Some(dnf.len()),
+                satisfiable: any_feasible(&dnf),
+                vars: dnf
+                    .iter()
+                    .flatten()
+                    .flat_map(|c| c.vars().cloned())
+                    .collect(),
+            },
+            Err(_) => GuardFacts {
+                disjuncts: None,
+                satisfiable: true,
+                vars: BTreeSet::new(),
+            },
+        }
+    }
+}
+
 impl JointSymbolicTable {
     /// Builds the joint table from per-transaction tables.
     ///
@@ -48,25 +86,59 @@ impl JointSymbolicTable {
             "joint tables require instantiated (parameterless) member tables"
         );
         let transactions = tables.iter().map(|t| t.transaction.clone()).collect();
-        let mut rows = vec![JointRow {
+        // Each accumulated row with the size of its guard's DNF, as
+        // `GuardFacts::disjuncts` has it.
+        let start = JointRow {
             guard: BExp::True,
             effects: Vec::new(),
-        }];
+        };
+        let mut rows = vec![(start, Some(1))];
+        // The variables the guards of the tables so far constrain.
+        let mut seen: BTreeSet<String> = BTreeSet::new();
         for table in tables {
+            let facts: Vec<GuardFacts> = table
+                .rows
+                .iter()
+                .map(|r| GuardFacts::of(&r.guard))
+                .collect();
+            // A member row's verdict on its own, where that decides every
+            // combination with it: its guard shares no variable with `seen`.
+            let alone = facts
+                .iter()
+                .map(|f| f.vars.is_disjoint(&seen).then_some(f.satisfiable));
+            let alone: Vec<Option<bool>> = alone.collect();
             let mut next = Vec::with_capacity(rows.len() * table.rows.len().max(1));
-            for acc in &rows {
-                for row in &table.rows {
-                    let guard = acc.guard.clone().and(row.guard.clone());
-                    if !is_satisfiable(&guard) {
-                        continue;
+            for (acc, acc_disjuncts) in rows {
+                let mut extend = |acc: JointRow, at: usize| {
+                    let row = &table.rows[at];
+                    let JointRow { guard, mut effects } = acc;
+                    let guard = guard.and(row.guard.clone());
+                    let disjuncts = conjoined_disjuncts(acc_disjuncts, facts[at].disjuncts);
+                    // The DNF of a conjunction is the cross product of the
+                    // operands' and a disjunct is a feasibility check, which
+                    // factors over operands that share no variable — and
+                    // `acc`, being a row, has a feasible disjunct.
+                    let satisfiable = match (disjuncts, alone[at]) {
+                        (None, _) => true,
+                        (Some(_), Some(verdict)) => verdict,
+                        (Some(_), None) => is_satisfiable(&guard),
+                    };
+                    if satisfiable {
+                        effects.push(row.effect.clone());
+                        next.push((JointRow { guard, effects }, disjuncts));
                     }
-                    let mut effects = acc.effects.clone();
-                    effects.push(row.effect.clone());
-                    next.push(JointRow { guard, effects });
+                };
+                // The last member row extends the accumulated row itself,
+                // the others a copy: half the clones of a two-row member.
+                if let Some(last) = table.rows.len().checked_sub(1) {
+                    (0..last).for_each(|at| extend(acc.clone(), at));
+                    extend(acc, last);
                 }
             }
             rows = next;
+            seen.extend(facts.into_iter().flat_map(|facts| facts.vars));
         }
+        let rows = rows.into_iter().map(|(row, _)| row).collect();
         JointSymbolicTable { transactions, rows }
     }
 
@@ -187,6 +259,88 @@ mod tests {
         let b = SymbolicTable::analyze(&programs::micro_order_for_item(2, 100));
         let joint = JointSymbolicTable::build(&[a.clone(), b.clone()]);
         assert_eq!(joint.len(), a.len() * b.len());
+    }
+
+    #[test]
+    fn disjoint_members_build_the_rows_every_conjunction_check_would() {
+        use homeo_lang::builder::{num, read};
+        // `build` as the definition reads: every conjunction checked.
+        let by_definition = |tables: &[SymbolicTable]| {
+            let mut rows = vec![(BExp::True, Vec::new())];
+            for table in tables {
+                let mut next = Vec::new();
+                for (guard, effects) in &rows {
+                    for row in &table.rows {
+                        let guard = guard.clone().and(row.guard.clone());
+                        if is_satisfiable(&guard) {
+                            let effects = effects.iter().cloned().chain([row.effect.clone()]);
+                            next.push((guard, effects.collect::<Vec<_>>()));
+                        }
+                    }
+                }
+                rows = next;
+            }
+            rows
+        };
+        let analyze = |txn: &homeo_lang::ast::Transaction| SymbolicTable::analyze(txn);
+        let order = |item: i64| analyze(&programs::micro_order_for_item(item, 100));
+        // A member whose second row can never hold (in two disjuncts), one
+        // whose guard does not linearize, and members of 2ⁿ disjuncts: past
+        // 2⁸ a DNF is over budget, on its own or as a product, and what is
+        // conjoined with it is kept however dead.
+        let dead = {
+            let mut table = order(7);
+            let x = read(programs::stock_obj(7).as_str());
+            table.rows[1].guard = x.clone().eq(num(3)).not().and(x.eq(num(3)));
+            table
+        };
+        let nonlinear = {
+            let mut table = order(8);
+            let x = read(programs::stock_obj(8).as_str());
+            table.rows[0].guard = x.clone().mul(x).lt(num(9));
+            table
+        };
+        let wide = |item: i64, n: i64| {
+            let mut table = order(item);
+            let differs = |i: i64| read(format!("w{item}_{i}").as_str()).eq(num(i)).not();
+            table.rows[0].guard = (1..n).fold(differs(0), |all, i| all.and(differs(i)));
+            table
+        };
+        let (t1, t2, t3) = (
+            analyze(&programs::t1()),
+            analyze(&programs::t2()),
+            analyze(&programs::t3()),
+        );
+        let cases: Vec<Vec<SymbolicTable>> = vec![
+            (1..=6).map(order).collect(),
+            vec![t1.clone(), order(1), t2.clone(), order(2), t3.clone()],
+            vec![order(1), order(1), order(2), t3, t1, t2],
+            vec![order(1), dead.clone(), order(2), dead.clone()],
+            vec![
+                order(1),
+                nonlinear.clone(),
+                dead.clone(),
+                order(8),
+                order(2),
+            ],
+            vec![wide(9, 9), order(1), dead.clone(), nonlinear, order(9)],
+            vec![
+                wide(9, 5),
+                dead.clone(),
+                wide(10, 3),
+                dead.clone(),
+                order(1),
+            ],
+            vec![wide(9, 5), wide(10, 5), dead, order(10)],
+        ];
+        for (case, tables) in cases.iter().enumerate() {
+            let joint = JointSymbolicTable::build(tables);
+            let expected = by_definition(tables);
+            assert_eq!(joint.len(), expected.len(), "case {case}");
+            for (row, (guard, effects)) in joint.rows.iter().zip(&expected) {
+                assert_eq!((&row.guard, &row.effects), (guard, effects), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -138,14 +138,19 @@ fn dnf(b: &BExp, positive: bool) -> Result<Vec<Vec<LinearConstraint>>, Linearize
     }
 }
 
+/// The number of disjuncts of `DNF(a ∧ b)` given those of `DNF(a)` and
+/// `DNF(b)`; `None` — for an operand too — is a conversion that failed.
+pub(crate) fn conjoined_disjuncts(a: Option<usize>, b: Option<usize>) -> Option<usize> {
+    let product = a?.saturating_mul(b?);
+    (product <= MAX_DISJUNCTS).then_some(product)
+}
+
 fn cross(
     left: &[Vec<LinearConstraint>],
     right: &[Vec<LinearConstraint>],
 ) -> Result<Vec<Vec<LinearConstraint>>, LinearizeError> {
-    if left.len().saturating_mul(right.len()) > MAX_DISJUNCTS {
-        return Err(LinearizeError::TooManyDisjuncts);
-    }
-    let mut out = Vec::with_capacity(left.len() * right.len());
+    let size = conjoined_disjuncts(Some(left.len()), Some(right.len()));
+    let mut out = Vec::with_capacity(size.ok_or(LinearizeError::TooManyDisjuncts)?);
     for l in left {
         for r in right {
             let mut conj = l.clone();
@@ -179,12 +184,12 @@ pub fn conjuncts_to_constraints(b: &BExp) -> Result<Vec<LinearConstraint>, Linea
 /// engine. Formulas that cannot be linearized are conservatively considered
 /// satisfiable.
 pub fn is_satisfiable(b: &BExp) -> bool {
-    match bexp_to_dnf(b) {
-        Ok(disjuncts) => disjuncts
-            .iter()
-            .any(|conj| homeo_solver::fm::is_feasible(conj)),
-        Err(_) => true,
-    }
+    bexp_to_dnf(b).map_or(true, |dnf| any_feasible(&dnf))
+}
+
+/// Whether some disjunct of a DNF is feasible.
+pub(crate) fn any_feasible(dnf: &[Vec<LinearConstraint>]) -> bool {
+    dnf.iter().any(|conj| homeo_solver::fm::is_feasible(conj))
 }
 
 #[cfg(test)]

@@ -27,14 +27,20 @@
 //! site count, so the ratio is a small constant on any machine; the
 //! baseline pins a ceiling on it, which an elimination that multiplies a
 //! counter's parallel bounds per site (the ratio was ~10⁴) cannot meet.
+//! And `lowheadroom_over_cold_s4`: at four sites, a warm negotiation once
+//! the counter has drained to where no previous split fits (bases 11, 7, 4
+//! and 2: each a MaxSMT search of tens of lemmas) over a cold one at base
+//! 40, same estimator — what the tail of a negotiation costs relative to its
+//! common case, which a probe that eliminates per deletion step or a core
+//! extraction that searches per verdict multiplies by five to ten.
 
 use homeo_lang::ids::ObjId;
 use std::hint::black_box;
 use std::time::Instant;
 
 use homeo_protocol::{
-    negotiate_allowances, OptimizerConfig, ReplicatedMode, ReplicatedStats, SyncTuning,
-    WorkloadHints,
+    negotiate_allowances, negotiate_allowances_cached, NegotiationCache, OptimizerConfig,
+    ReplicatedMode, ReplicatedStats, SyncTuning, WorkloadHints,
 };
 use homeo_runtime::{ReplicatedRuntime, SiteOp, SiteRuntime};
 use homeo_sim::{DetRng, Timer};
@@ -54,8 +60,14 @@ const HOT_SITE_SHARE: f64 = 0.8;
 const INITIAL: i64 = 60;
 /// Operations per `submit_batch` call.
 const BATCH: usize = 16;
-/// Timed calls behind each side of `cold_s5_over_s2` (after two untimed).
+/// Timed calls behind each side of `cold_s5_over_s2` and
+/// `lowheadroom_over_cold_s4` (after two untimed).
 const COLD_REPEATS: usize = 15;
+/// A draining counter's bases for `lowheadroom_over_cold_s4`: cold at the
+/// first, warm down the rest, the last [`LOW_HEADROOM`] of them searches.
+const DRAINING_BASES: [i64; 8] = [40, 30, 22, 16, 11, 7, 4, 2];
+/// Low-headroom rounds at the end of [`DRAINING_BASES`].
+const LOW_HEADROOM: usize = 4;
 
 /// The optimizer settings every row negotiates with.
 fn mode() -> ReplicatedMode {
@@ -154,9 +166,46 @@ fn cold_negotiation_nanos(sites: usize) -> f64 {
     };
     negotiate();
     negotiate();
-    let mut samples: Vec<f64> = (0..COLD_REPEATS).map(|_| negotiate()).collect();
+    median((0..COLD_REPEATS).map(|_| negotiate()).collect())
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
-    samples[COLD_REPEATS / 2]
+    samples[samples.len() / 2]
+}
+
+/// Median wall time of a low-headroom warm negotiation over that of the
+/// cold one which starts the walk, one counter (lower bound 1) draining
+/// down [`DRAINING_BASES`] among `sites` uniform sites, a fresh
+/// [`NegotiationCache`] per walk so no round is a memo hit.
+fn lowheadroom_over_cold(sites: usize) -> f64 {
+    let hints = WorkloadHints::uniform(sites);
+    let walk = || {
+        let mut cache = NegotiationCache::new();
+        let mut previous: Option<Vec<i64>> = None;
+        let nanos = DRAINING_BASES.map(|base| {
+            let started = Instant::now();
+            let (allowances, _) = negotiate_allowances_cached(
+                mode(),
+                &hints,
+                sites,
+                base,
+                1,
+                Timer::Wall,
+                &mut cache,
+                previous.as_deref(),
+            );
+            let elapsed = started.elapsed().as_nanos() as f64;
+            previous = Some(black_box(allowances));
+            elapsed
+        });
+        let low = &nanos[nanos.len() - LOW_HEADROOM..];
+        (nanos[0], low.iter().sum::<f64>() / LOW_HEADROOM as f64)
+    };
+    walk();
+    walk();
+    let (cold, low): (Vec<f64>, Vec<f64>) = (0..COLD_REPEATS).map(|_| walk()).unzip();
+    median(low) / median(cold)
 }
 
 /// Generates the `sync` figure: negotiation counts and per-round solver
@@ -185,9 +234,12 @@ pub fn suite(effort: Effort) -> Figure {
             "warm_speedup".to_string(),
             "violation_cut_pct".to_string(),
             "cold_s5_over_s2".to_string(),
+            "lowheadroom_over_cold_s4".to_string(),
         ],
     );
+    // Properties of the solve, not of a tuning: on the `cold` row only.
     let cold_s5_over_s2 = cold_negotiation_nanos(5) / cold_negotiation_nanos(2);
+    let lowheadroom_over_cold_s4 = lowheadroom_over_cold(4);
     for (label, run) in [("cold", &cold), ("warm", &warm), ("adaptive", &adaptive)] {
         let p50 = run.solver_p50();
         let violations = run.violation_syncs();
@@ -204,6 +256,7 @@ pub fn suite(effort: Effort) -> Figure {
         } else {
             0.0
         };
+        let cold_only = |ratio: f64| if label == "cold" { ratio } else { f64::NAN };
         fig.push_row(
             label.to_string(),
             vec![
@@ -213,12 +266,8 @@ pub fn suite(effort: Effort) -> Figure {
                 p50,
                 speedup,
                 cut,
-                // A property of the cold solve, not of a tuning.
-                if label == "cold" {
-                    cold_s5_over_s2
-                } else {
-                    f64::NAN
-                },
+                cold_only(cold_s5_over_s2),
+                cold_only(lowheadroom_over_cold_s4),
             ],
         );
     }
@@ -234,11 +283,11 @@ mod tests {
         let fig = suite(Effort::Quick);
         assert_eq!(fig.id, "sync");
         assert_eq!(fig.rows.len(), 3);
-        assert_eq!(fig.columns.len(), 8);
+        assert_eq!(fig.columns.len(), 9);
         for (label, values) in &fig.rows {
-            assert_eq!(values.len(), 7, "row {label}");
+            assert_eq!(values.len(), 8, "row {label}");
             for (col, v) in fig.columns.iter().skip(1).zip(values) {
-                let cold_only = col == "cold_s5_over_s2" && label != "cold";
+                let cold_only = col.contains("_over_") && label != "cold";
                 assert!(v.is_finite() != cold_only, "{label} × {col}: {v}");
             }
         }

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use homeo_lang::database::Database;
 use homeo_sim::{DetRng, Timer};
-use homeo_solver::{CmpKind, MaxSmtResult};
+use homeo_solver::CmpKind;
 
 use crate::templates::TreatyTemplates;
 
@@ -96,15 +96,7 @@ pub fn optimize_timed(
     cfg: &OptimizerConfig,
     timer: Timer,
 ) -> OptimizedConfig {
-    run(
-        templates,
-        db,
-        model,
-        cfg,
-        timer,
-        None,
-        TreatyTemplates::solve,
-    )
+    optimize_timed_warm(templates, db, model, cfg, timer, None)
 }
 
 /// Runs Algorithm 1 with an optional warm-start candidate configuration.
@@ -118,13 +110,6 @@ pub fn optimize_timed(
 /// group, or the tightened configuration is invalid) the full cold search
 /// runs, so the returned configuration is byte-identical to a cold run in
 /// every case; only `solver_micros` reflects the cheaper path.
-///
-/// This is the entry point of counter allowance negotiation, and its cold
-/// search still runs on the string-keyed kernel
-/// ([`TreatyTemplates::solve_named`]) where [`optimize_timed`] hands the
-/// solver prepared rows: same configuration either way, about a third of the
-/// speed at four sites. `homeo_solver::string_kernel` says why and what
-/// removes it.
 pub fn optimize_timed_warm(
     templates: &TreatyTemplates,
     db: &Database,
@@ -132,23 +117,6 @@ pub fn optimize_timed_warm(
     cfg: &OptimizerConfig,
     timer: Timer,
     warm_start: Option<&[i64]>,
-) -> OptimizedConfig {
-    let solve = TreatyTemplates::solve_named;
-    run(templates, db, model, cfg, timer, warm_start, solve)
-}
-
-/// The MaxSMT call of a cold search: `(templates, now, futures)`.
-type ColdSolve =
-    fn(&TreatyTemplates, &[i64], &[Vec<i64>]) -> Option<MaxSmtResult<Vec<(usize, i64)>>>;
-
-fn run(
-    templates: &TreatyTemplates,
-    db: &Database,
-    model: &mut dyn WorkloadModel,
-    cfg: &OptimizerConfig,
-    timer: Timer,
-    warm_start: Option<&[i64]>,
-    cold: ColdSolve,
 ) -> OptimizedConfig {
     let mut rng = DetRng::seed_from(cfg.seed);
 
@@ -173,7 +141,9 @@ fn run(
         /// The warm candidate witnessed joint feasibility of all groups;
         /// carries the already-tightened, validated configuration.
         Warm(Vec<i64>),
-        Cold(Option<MaxSmtResult<Vec<(usize, i64)>>>),
+        /// The soft groups the cold search selected; `None` when the hard
+        /// constraints are infeasible.
+        Cold(Option<Vec<usize>>),
     }
 
     let (solve, solver_micros) = timer.measure(|| {
@@ -188,34 +158,32 @@ fn run(
                 }
             }
         }
-        Solve::Cold(cold(templates, &now, &soft))
+        let cold = templates.solve_boxes(&now, &soft);
+        Solve::Cold(cold.map(|res| res.selected))
     });
 
     let (config, satisfied_states) = match solve {
         Solve::Warm(config) => (config, total_states),
-        Solve::Cold(Some(res)) => {
-            // Tighten the configuration: any MaxSMT model satisfies the
-            // selected soft groups, but an arbitrary model may park slack on
+        Solve::Cold(Some(selected)) => {
+            // Tighten the configuration: any model of the selected soft
+            // groups satisfies them, but an arbitrary one may park slack on
             // the wrong site. Instead, give each configuration variable the
             // tightest (smallest) upper bound demanded by the selected
             // groups — that assignment also satisfies every selected group,
             // and it maximises the per-site headroom actually exercised by
             // the sampled futures.
-            let selected = res.selected.iter().map(|&j| &soft[j]);
-            let mut config = tightened_config(templates, &default, selected);
-            if !templates.satisfies_h1(&config) {
-                // Fall back to the raw model, then to the default.
-                config.clone_from(&default);
-                for (index, value) in res.model.into_iter().flatten() {
-                    config[index] = value;
-                }
-            }
-            // Never install an invalid configuration: the hard constraints
-            // make this unreachable, but the default is always safe.
-            if !templates.satisfies_h1(&config) {
+            let groups = selected.iter().map(|&j| &soft[j]);
+            let mut config = tightened_config(templates, &default, groups);
+            // Never install an invalid configuration: the tightened
+            // configuration is the witness of the search's last feasible
+            // probe, which makes this unreachable, but the default is
+            // always safe.
+            let valid = templates.satisfies_h1(&config);
+            debug_assert!(valid, "the selected groups' box misses H1");
+            if !valid {
                 config = default;
             }
-            (config, res.selected.len())
+            (config, selected.len())
         }
         Solve::Cold(None) => (default, 0),
     };
@@ -234,7 +202,7 @@ fn run(
 /// The tightened configuration for a set of soft groups: start from the
 /// default and give each configuration variable the smallest upper bound any
 /// group demands of it (an equality clause's variables keep the default).
-fn tightened_config<'a>(
+pub(crate) fn tightened_config<'a>(
     templates: &TreatyTemplates,
     default: &[i64],
     groups: impl Iterator<Item = &'a Vec<i64>>,

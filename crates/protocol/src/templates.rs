@@ -25,18 +25,17 @@
 //! ([`TreatyTemplates::config_index`]). Everything a negotiation computes per
 //! round — the default configuration, the bounds a sampled state demands
 //! (a soft group is one `bound − local_now` per variable), the tightened
-//! configuration, the H1 check — is a pass over such vectors, and the solver
-//! is handed pre-resolved rows ([`TreatyTemplates::solve`]). The solver
-//! eliminates in `VarName` order, and `c0@10` sorts before `c0@2`, so the
-//! templates rank their variables' names once and translate at that one
-//! boundary.
+//! configuration, the H1 check — is a pass over such vectors. So is the
+//! MaxSMT call: every row of its system but H1 bounds a single variable, so
+//! nothing is eliminated and a feasibility probe is a sum of per-variable
+//! minima ([`TreatyTemplates::solve_boxes`]).
 
 use homeo_analysis::linearize::conjuncts_to_constraints;
 use homeo_lang::ast::BExp;
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
-use homeo_solver::maxsmt::{max_feasible_rows, MaxSmtResult};
-use homeo_solver::{fm, string_kernel, CmpKind, LinExpr, LinearConstraint, Prepared, Var, VarName};
+use homeo_solver::maxsmt::{search, MaxSmtResult};
+use homeo_solver::{fm, CmpKind, Feasibility, LinExpr, LinearConstraint, VarName};
 use serde::{Deserialize, Serialize};
 
 use crate::model::Loc;
@@ -166,19 +165,13 @@ pub struct TreatyTemplates {
     pub sites: usize,
     /// The clauses.
     pub clauses: Vec<ClauseTemplate>,
-    /// The solver id of each configuration variable (by configuration
-    /// index): its rank among the variables' names.
-    solver_ids: Vec<Var>,
-    /// Each clause's solver ids in ascending order, clause after clause —
-    /// the term order of its H1 row.
-    h1_vars: Vec<Var>,
 }
 
 impl TreatyTemplates {
     /// Generates templates from a preprocessed conjunction of linear
     /// constraints.
     pub fn generate(psi: &[LinearConstraint], loc: &Loc, sites: usize) -> Self {
-        let clauses: Vec<ClauseTemplate> = psi
+        let clauses = psi
             .iter()
             .enumerate()
             .map(|(idx, c)| {
@@ -202,23 +195,7 @@ impl TreatyTemplates {
                 }
             })
             .collect();
-        let name = |i: usize| &clauses[i / sites].config_vars[i % sites];
-        let mut by_name: Vec<usize> = (0..clauses.len() * sites).collect();
-        by_name.sort_by(|&a, &b| name(a).cmp(name(b)));
-        let mut solver_ids = vec![0; by_name.len()];
-        for (rank, &i) in by_name.iter().enumerate() {
-            solver_ids[i] = rank as Var;
-        }
-        let mut h1_vars = solver_ids.clone();
-        h1_vars
-            .chunks_mut(sites.max(1))
-            .for_each(<[Var]>::sort_unstable);
-        TreatyTemplates {
-            sites,
-            clauses,
-            solver_ids,
-            h1_vars,
-        }
+        TreatyTemplates { sites, clauses }
     }
 
     /// Where the configuration variable of clause `clause` at site `site`
@@ -284,7 +261,7 @@ impl TreatyTemplates {
     /// the release path checks this and leaves the implication to debug
     /// assertions and tests.
     pub fn satisfies_h1(&self, config: &[i64]) -> bool {
-        debug_assert_eq!(config.len(), self.solver_ids.len());
+        debug_assert_eq!(config.len(), self.clauses.len() * self.sites);
         let required = self.sites as i64 - 1;
         let sums = config.chunks(self.sites.max(1));
         self.clauses.iter().zip(sums).all(|(clause, values)| {
@@ -296,118 +273,52 @@ impl TreatyTemplates {
         })
     }
 
-    /// Algorithm 1's MaxSMT call over pre-resolved rows: the hard system is
-    /// H1 plus the bounds of `now` (H2: the treaties hold on the current
-    /// database), and each of `futures` is one soft group. The model is an
-    /// overlay of `(configuration index, value)` pairs.
-    pub fn solve(
-        &self,
-        now: &[i64],
-        futures: &[Vec<i64>],
-    ) -> Option<MaxSmtResult<Vec<(usize, i64)>>> {
-        let vars = self.solver_ids.len();
-        let mut system = Prepared::new(vars);
+    /// Algorithm 1's MaxSMT call: the hard system is H1 plus the bounds of
+    /// `now` (H2: the treaties hold on the current database), and each of
+    /// `futures` is one soft group. Every row but H1 bounds one variable, so
+    /// clause by clause the hard rows and any set of groups form a box, and
+    /// the lemma loop's probes (`boxes_are_feasible`) are sums of
+    /// per-variable minima where a general system would be eliminated. No
+    /// model: the witness of a feasible probe is the tightened configuration
+    /// the optimizer builds from `selected` anyway.
+    pub fn solve_boxes(&self, now: &[i64], futures: &[Vec<i64>]) -> Option<MaxSmtResult<()>> {
+        let feasible = |chosen: &[usize]| {
+            self.boxes_are_feasible(now, || chosen.iter().map(|&j| &futures[j][..]))
+        };
+        let check = |chosen: &[usize]| {
+            if feasible(chosen) {
+                Feasibility::FeasibleRationalOnly
+            } else {
+                Feasibility::Infeasible
+            }
+        };
+        search(futures.len(), check, feasible)
+    }
+
+    /// Whether H1, the bounds of `now` and the bounds of every one of
+    /// `groups` hold together. A `≤` clause's variables are bounded above
+    /// only, so H1 (`Σ_k c_k ≥ (K-1)·n`) is met iff the tightest bounds sum
+    /// to it; an `=` clause pins every variable to `now`'s bound, which each
+    /// group must repeat and whose sum must be the H1 row's.
+    fn boxes_are_feasible<'a, G>(&self, now: &[i64], groups: impl Fn() -> G) -> bool
+    where
+        G: Iterator<Item = &'a [i64]>,
+    {
         let required = self.sites as i64 - 1;
-        for (clause, ids) in self
-            .clauses
-            .iter()
-            .zip(self.h1_vars.chunks(self.sites.max(1)))
-        {
+        self.clauses.iter().enumerate().all(|(idx, clause)| {
+            let at = idx * self.sites..(idx + 1) * self.sites;
             let rhs = required * clause.bound;
             match clause.relation() {
-                CmpKind::Eq => system.push(ids.iter().map(|&v| (v, 1)), -rhs, CmpKind::Eq),
-                // rhs − Σ c ≤ 0
-                _ => system.push(ids.iter().map(|&v| (v, -1)), rhs, CmpKind::Le),
-            };
-        }
-        let push_group = |system: &mut Prepared, group: &[i64]| {
-            let start = system.len();
-            for ((op, bound), &id) in self.relations().zip(group).zip(&self.solver_ids) {
-                // c − bound ⋈ 0
-                system.push([(id, 1)], -bound, op);
+                CmpKind::Eq => {
+                    groups().all(|group| group[at.clone()] == now[at.clone()])
+                        && now[at].iter().sum::<i64>() == rhs
+                }
+                _ => {
+                    let tightest = |i: usize| groups().fold(now[i], |least, g| least.min(g[i]));
+                    at.map(tightest).sum::<i64>() >= rhs
+                }
             }
-            start..system.len()
-        };
-        push_group(&mut system, now);
-        let hard = 0..system.len();
-        let groups: Vec<_> = futures
-            .iter()
-            .map(|group| push_group(&mut system, group))
-            .collect();
-        let res = max_feasible_rows(&system, hard, &groups)?;
-        let config_index = |var: Var| {
-            let at = self.solver_ids.iter().position(|&id| id == var);
-            at.expect("the model ranges over the configuration variables")
-        };
-        Some(res.map_model(|model| {
-            let values = model.into_iter();
-            values
-                .map(|(var, value)| (config_index(var), value))
-                .collect()
-        }))
-    }
-
-    /// [`Self::solve`] through `homeo_solver::string_kernel`: the same hard
-    /// system and soft groups spelled as constraints over the configuration
-    /// variables' names, every probe solved from scratch on string-keyed
-    /// rows. Same answer, same model; counter allowance negotiation
-    /// ([`crate::optimizer::optimize_timed_warm`]) still solves this way, for
-    /// the reason `homeo_solver::string_kernel`'s module docs give.
-    pub fn solve_named(
-        &self,
-        now: &[i64],
-        futures: &[Vec<i64>],
-    ) -> Option<MaxSmtResult<Vec<(usize, i64)>>> {
-        let mut hard = self.h1_constraints();
-        hard.extend(self.group_constraints(now));
-        let soft: Vec<_> = futures.iter().map(|g| self.group_constraints(g)).collect();
-        let res = string_kernel::max_feasible_subset(&hard, &soft)?;
-        let names = self.clauses.iter().flat_map(|c| c.config_vars.iter());
-        Some(res.map_model(|model| {
-            let config_index = |name: &VarName| {
-                let at = names.clone().position(|n| n == name);
-                at.expect("the model ranges over the configuration variables")
-            };
-            let values = model.iter();
-            values
-                .map(|(name, value)| (config_index(name), *value))
-                .collect()
-        }))
-    }
-
-    /// H1 as constraints over the configuration variables' names.
-    fn h1_constraints(&self) -> Vec<LinearConstraint> {
-        let required = self.sites as i64 - 1;
-        self.clauses
-            .iter()
-            .map(|clause| {
-                let mut sum = LinExpr::zero();
-                for v in &clause.config_vars {
-                    sum.add_term(v.clone(), 1);
-                }
-                let rhs = LinExpr::constant(required * clause.bound);
-                match clause.relation() {
-                    CmpKind::Eq => LinearConstraint::eq(sum, rhs),
-                    _ => LinearConstraint::ge(sum, rhs),
-                }
-            })
-            .collect()
-    }
-
-    /// A soft group as constraints over the configuration variables' names.
-    fn group_constraints(&self, group: &[i64]) -> Vec<LinearConstraint> {
-        let clauses = self.clauses.iter();
-        let names = clauses.flat_map(|clause| clause.config_vars.iter().map(move |v| (clause, v)));
-        names
-            .zip(group)
-            .map(|((clause, name), bound)| {
-                let (cvar, needed) = (LinExpr::var(name.clone()), LinExpr::constant(*bound));
-                match clause.relation() {
-                    CmpKind::Eq => LinearConstraint::eq(cvar, needed),
-                    _ => LinearConstraint::le(cvar, needed),
-                }
-            })
-            .collect()
+        })
     }
 
     /// Instantiates the templates into per-site local treaties using a
@@ -444,7 +355,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::optimizer::{optimize_timed, OptimizerConfig};
+    use crate::optimizer::{
+        optimize_timed, optimize_timed_warm, tightened_config, OptimizerConfig, WorkloadModel,
+    };
     use homeo_analysis::{JointSymbolicTable, SymbolicTable};
     use homeo_lang::programs;
     use homeo_sim::{DetRng, Timer};
@@ -466,6 +379,41 @@ mod tests {
     fn named(templates: &TreatyTemplates, config: &[i64]) -> BTreeMap<VarName, i64> {
         let names = templates.clauses.iter().flat_map(|c| c.config_vars.iter());
         names.cloned().zip(config.iter().copied()).collect()
+    }
+
+    /// H1 as constraints over the configuration variables' names.
+    fn h1_constraints(templates: &TreatyTemplates) -> Vec<LinearConstraint> {
+        let required = templates.sites as i64 - 1;
+        let clauses = templates.clauses.iter();
+        clauses
+            .map(|clause| {
+                let mut sum = LinExpr::zero();
+                for v in &clause.config_vars {
+                    sum.add_term(v.clone(), 1);
+                }
+                let rhs = LinExpr::constant(required * clause.bound);
+                match clause.relation() {
+                    CmpKind::Eq => LinearConstraint::eq(sum, rhs),
+                    _ => LinearConstraint::ge(sum, rhs),
+                }
+            })
+            .collect()
+    }
+
+    /// A soft group as constraints over the configuration variables' names.
+    fn group_constraints(templates: &TreatyTemplates, group: &[i64]) -> Vec<LinearConstraint> {
+        let clauses = templates.clauses.iter();
+        let names = clauses.flat_map(|clause| clause.config_vars.iter().map(move |v| (clause, v)));
+        names
+            .zip(group)
+            .map(|((clause, name), bound)| {
+                let (cvar, needed) = (LinExpr::var(name.clone()), LinExpr::constant(*bound));
+                match clause.relation() {
+                    CmpKind::Eq => LinearConstraint::eq(cvar, needed),
+                    _ => LinearConstraint::le(cvar, needed),
+                }
+            })
+            .collect()
     }
 
     /// A seeded template set over `sites` sites with the database it was
@@ -496,6 +444,53 @@ mod tests {
             });
         }
         (TreatyTemplates::generate(&psi, &loc, sites), db, objects)
+    }
+
+    /// Algorithm 1 by elimination — the MaxSMT call through the string
+    /// front door (Fourier–Motzkin per probe), then the tightened
+    /// configuration, else the solver's model, else the default: the
+    /// configuration and the number of sampled states it keeps.
+    fn eliminated_config(
+        templates: &TreatyTemplates,
+        db: &Database,
+        model: &mut dyn WorkloadModel,
+        cfg: &OptimizerConfig,
+    ) -> (Vec<i64>, usize) {
+        let mut rng = DetRng::seed_from(cfg.seed);
+        let mut futures = Vec::new();
+        for _ in 0..cfg.futures {
+            let mut current = db.clone();
+            for _ in 0..cfg.lookahead {
+                current = model.step(&current, &mut rng);
+                futures.push(templates.soft_group_for_db(&current));
+            }
+        }
+        let default = templates.default_config(db);
+        let now = templates.soft_group_for_db(db);
+        let mut hard = h1_constraints(templates);
+        hard.extend(group_constraints(templates, &now));
+        let soft: Vec<_> = futures
+            .iter()
+            .map(|g| group_constraints(templates, g))
+            .collect();
+        let Some(res) = max_feasible_subset(&hard, &soft) else {
+            return (default, 0);
+        };
+        let selected = res.selected.iter().map(|&j| &futures[j]);
+        let mut config = tightened_config(templates, &default, selected);
+        if !templates.satisfies_h1(&config) {
+            config.clone_from(&default);
+            let names = templates.clauses.iter().flat_map(|c| c.config_vars.iter());
+            for (value, name) in config.iter_mut().zip(names) {
+                if let Some(model) = res.model.as_ref().and_then(|model| model.get(name)) {
+                    *value = *model;
+                }
+            }
+        }
+        if !templates.satisfies_h1(&config) {
+            config = default;
+        }
+        (config, res.selected.len())
     }
 
     #[test]
@@ -543,7 +538,7 @@ mod tests {
         // with the semantic check.
         assert!(templates.satisfies_h1(&good));
         assert!(!templates.satisfies_h1(&bad));
-        let hard = templates.h1_constraints();
+        let hard = h1_constraints(&templates);
         assert!(hard.iter().all(|c| c.holds(&named(&templates, &good))));
         assert!(!hard.iter().all(|c| c.holds(&named(&templates, &bad))));
     }
@@ -626,10 +621,10 @@ mod tests {
 
     #[test]
     fn prepared_rows_solve_like_the_string_front_door() {
-        // Eleven and twelve sites: `c0@10` sorts before `c0@2`, so a
-        // configuration index is not a solver id.
+        // Eleven and twelve sites: `c0@10` sorts before `c0@2`, so the string
+        // front door eliminates in another order than the configuration's.
         let mut rng = DetRng::seed_from(0x007e_3a11);
-        let mut with_lemmas = 0;
+        let (mut with_lemmas, mut infeasible_probes) = (0, 0);
         for case in 0..300 {
             let sites = [2, 3, 4, 11, 12][rng.index(5)];
             let (templates, db, objects) = seeded_templates(&mut rng, sites);
@@ -644,21 +639,18 @@ mod tests {
                     templates.soft_group_for_db(&future)
                 })
                 .collect();
-            let mut hard = templates.h1_constraints();
-            hard.extend(templates.group_constraints(&now));
+            let mut hard = h1_constraints(&templates);
+            hard.extend(group_constraints(&templates, &now));
             let soft: Vec<_> = futures
                 .iter()
-                .map(|g| templates.group_constraints(g))
+                .map(|g| group_constraints(&templates, g))
                 .collect();
+            // The box solve: the same search as through the string front
+            // door, and no model.
             let expected = max_feasible_subset(&hard, &soft).expect("H2 holds on the database");
-            let got = templates.solve(&now, &futures).expect("same system");
+            let boxed = templates.solve_boxes(&now, &futures).expect("same system");
             assert_eq!(
-                templates.solve_named(&now, &futures).as_ref(),
-                Some(&got),
-                "case {case}: the string-keyed kernel"
-            );
-            assert_eq!(
-                (got.selected, got.cost, got.lemmas, got.gave_up),
+                (boxed.selected, boxed.cost, boxed.lemmas, boxed.gave_up),
                 (
                     expected.selected,
                     expected.cost,
@@ -667,23 +659,64 @@ mod tests {
                 ),
                 "case {case}"
             );
-            let names: Vec<&VarName> = templates
-                .clauses
-                .iter()
-                .flat_map(|c| c.config_vars.iter())
-                .collect();
-            let model = got.model.map(|model| {
-                let named = model.into_iter();
-                named
-                    .map(|(at, value)| (names[at].clone(), value))
-                    .collect::<BTreeMap<_, _>>()
-            });
-            assert_eq!(model, expected.model, "case {case}");
+            assert_eq!(boxed.model, None);
             with_lemmas += usize::from(expected.lemmas > 0);
+
+            // A box probe is the elimination's verdict on any subset of the
+            // groups — and on a `now` the database does not satisfy.
+            for probe in 0..8 {
+                let chosen: Vec<usize> = (0..futures.len()).filter(|_| rng.chance(0.5)).collect();
+                let mut now = now.clone();
+                if probe >= 6 {
+                    let at = rng.index(now.len());
+                    now[at] += rng.int_inclusive(-2, 2);
+                }
+                let mut rows = h1_constraints(&templates);
+                rows.extend(group_constraints(&templates, &now));
+                rows.extend(chosen.iter().flat_map(|&j| soft[j].iter().cloned()));
+                let expected = fm::is_feasible(&rows);
+                let groups = || chosen.iter().map(|&j| &futures[j][..]);
+                assert_eq!(
+                    templates.boxes_are_feasible(&now, groups),
+                    expected,
+                    "case {case}: now {now:?}, groups {chosen:?} of {futures:?}"
+                );
+                infeasible_probes += usize::from(!expected);
+            }
+
+            // Both entry points install the configuration an eliminating
+            // solve would.
+            let mut model = |current: &Database, rng: &mut DetRng| {
+                let mut next = current.clone();
+                let obj = objects[rng.index(objects.len())].clone();
+                next.add(obj, rng.int_inclusive(-2, 2));
+                next
+            };
+            let cfg = OptimizerConfig {
+                lookahead: 1 + rng.index(6),
+                futures: 1 + rng.index(3),
+                seed: rng.int_inclusive(0, 1 << 40) as u64,
+            };
+            let timer = Timer::fixed_zero();
+            let expected = eliminated_config(&templates, &db, &mut model, &cfg);
+            let warm = optimize_timed_warm(&templates, &db, &mut model, &cfg, timer, None);
+            assert_eq!(
+                (&warm.config, warm.satisfied_states),
+                (&expected.0, expected.1),
+                "case {case}: the installed configuration"
+            );
+            assert_eq!(
+                warm,
+                optimize_timed(&templates, &db, &mut model, &cfg, timer)
+            );
         }
         assert!(
             with_lemmas >= 30,
             "only {with_lemmas} cases learned a lemma"
+        );
+        assert!(
+            infeasible_probes >= 300,
+            "only {infeasible_probes} infeasible probes"
         );
     }
 

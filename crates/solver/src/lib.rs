@@ -14,17 +14,15 @@
 //!   via Fourier–Motzkin elimination with Gaussian substitution for
 //!   equalities ([`fm`]): the dense kernel, entered either through the string
 //!   front doors ([`check_feasible`], [`max_feasible_subset`]) or through a
-//!   system prepared once and probed by row index ([`Prepared`],
-//!   [`max_feasible_rows`]),
+//!   system prepared once and probed by row index ([`Prepared`]),
 //! * a propositional CNF representation and a DPLL SAT solver ([`sat`]),
 //! * the Fu-Malik partial-MaxSAT algorithm with deletion-based unsat-core
 //!   extraction ([`maxsat`]),
 //! * a lazy MaxSMT loop over linear-arithmetic soft groups
 //!   ([`maxsmt`]) — the engine behind the treaty-configuration optimizer
-//!   (Algorithm 1 in the paper),
-//! * the previous, string-keyed elimination kernel ([`string_kernel`]), kept
-//!   for counter allowance negotiation alone until a change that claims the
-//!   simulator's throughput removes it — its module docs say why.
+//!   (Algorithm 1 in the paper); its lemma loop ([`maxsmt::search`]) takes
+//!   the theory as two closures, so a caller whose probes are arithmetic
+//!   (the treaty templates' box probes) brings its own.
 //!
 //! Everything is deterministic and dependency-free, which keeps protocol
 //! rounds and benchmarks reproducible.
@@ -41,12 +39,11 @@ pub mod rational;
 #[cfg(test)]
 mod reference;
 pub mod sat;
-pub mod string_kernel;
 
 pub use dense::{DenseModel, Var};
 pub use fm::{check_feasible, Feasibility, Prepared};
 pub use linear::{CmpKind, LinExpr, LinearConstraint, VarName};
 pub use maxsat::{FuMalik, MaxSatResult};
-pub use maxsmt::{max_feasible_rows, max_feasible_subset, MaxSmtResult, SoftGroup};
+pub use maxsmt::{max_feasible_subset, MaxSmtResult, SoftGroup};
 pub use rational::Rational;
 pub use sat::{Clause, Cnf, DpllSolver, Literal, SatResult, VarId};

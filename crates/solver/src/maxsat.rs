@@ -12,8 +12,27 @@
 //!   clause in the core, and constrain the relaxation variables of the core
 //!   with an at-most-one constraint; each round increases the cost by one.
 //!
-//! Core extraction is deletion-based (repeated SAT calls), which is exact
-//! and fast at the instance sizes the treaty optimizer produces.
+//! Core extraction is deletion-based (one satisfiability verdict per soft
+//! clause), which is exact and fast at the instance sizes the treaty
+//! optimizer produces.
+//!
+//! # Verdicts on the selector shape
+//!
+//! The MaxSMT lemma loop only ever asks about one shape of instance: soft
+//! clause `j` is the unit `x_j` and every hard clause is a lemma
+//! `¬x_a ∨ ¬x_b ∨ …` over those variables. After some rounds the working
+//! formula is then the lemmas, `¬s_j ∨ x_j ∨ r_{j,c} ∨ …` per soft clause
+//! (one relaxation variable per core `c` that contained `j`) and at most
+//! one true `r_{·,c}` per core. Under the assumptions `s_j, j ∈ A` it is
+//! satisfiable iff some choice of at most one relaxed clause per core
+//! leaves no lemma wholly inside `A` minus the relaxed clauses: an asserted,
+//! unrelaxed clause forces its `x_j`, everything else may set `x_j` false.
+//! With at most 64 soft clauses that is a search over bitmasks
+//! (`SelectorMasks`), and it answers the verdicts of the deletion scan —
+//! most of a solve's questions, none of which reads a model. Every call
+//! whose *model* is used still runs the DPLL solver on the working formula,
+//! so cores, relaxation variables and the result are the same either way;
+//! any other shape takes the DPLL path throughout.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,11 +55,96 @@ pub struct MaxSatResult {
 /// its SAT solver's scratch between them.
 #[derive(Debug, Default)]
 pub struct FuMalik {
-    /// Number of SAT calls made by the last `solve`.
+    /// Number of satisfiability verdicts the last `solve` needs on the DPLL
+    /// path: the solves themselves and, per core extraction, one per soft
+    /// clause plus the scan's precondition (which only a debug build checks).
+    /// It depends on the instance alone, not on how the verdicts were
+    /// reached — the selector shape skips some and runs DPLL for none; what
+    /// the solve actually ran is [`Self::dpll_runs`].
     pub sat_calls: usize,
+    /// Number of DPLL runs the last `solve` made: every verdict on a general
+    /// instance, only the model-producing solves on the selector shape.
+    pub dpll_runs: usize,
     /// Number of core-relaxation rounds performed by the last `solve`.
     pub rounds: usize,
     solver: DpllSolver,
+}
+
+/// The working formula of an instance on the selector shape (module docs),
+/// as bitmasks over the soft clauses.
+#[derive(Debug)]
+struct SelectorMasks {
+    /// Per hard clause, the soft clauses it forbids together.
+    lemmas: Vec<u64>,
+    /// Per relaxation round so far, the core it relaxed.
+    cores: Vec<u64>,
+}
+
+impl SelectorMasks {
+    /// The masks of `(hard, soft)`, if it has the selector shape.
+    fn of(hard: &Cnf, soft: &[Clause]) -> Option<Self> {
+        let is_unit = |(j, clause): (usize, &Clause)| clause.literals == [Literal::pos(j)];
+        if soft.len() > 64 || !soft.iter().enumerate().all(is_unit) {
+            return None;
+        }
+        let mask = |clause: &Clause| {
+            clause.literals.iter().try_fold(0u64, |mask, lit| {
+                (!lit.positive && lit.var < soft.len()).then(|| mask | 1 << lit.var)
+            })
+        };
+        Some(SelectorMasks {
+            lemmas: hard.clauses.iter().map(mask).collect::<Option<_>>()?,
+            cores: Vec::new(),
+        })
+    }
+
+    /// Whether the working formula is satisfiable with the soft clauses of
+    /// `forced` asserted and unrelaxed, the cores of `spent` having lent
+    /// their relaxation already: the first lemma inside `forced` needs one of
+    /// its clauses relaxed by a core that still can, and so on down — at
+    /// most one level per core.
+    fn is_sat(&self, forced: u64, spent: u64) -> bool {
+        let Some(&broken) = self.lemmas.iter().find(|&&lemma| lemma & !forced == 0) else {
+            return true;
+        };
+        // A round raises the cost by one and the cost never passes the
+        // number of soft clauses, so a core's index fits the mask too.
+        self.cores.iter().enumerate().any(|(c, &core)| {
+            spent >> c & 1 == 0
+                && bits(core & broken).any(|bit| self.is_sat(forced & !bit, spent | 1 << c))
+        })
+    }
+
+    /// [`DpllSolver::minimal_core`] over all soft clauses by the same
+    /// deletion scan, each verdict answered by [`Self::is_sat`] — or not
+    /// asked: a clause in no lemma that lies inside the core so far breaks
+    /// none and relaxing it mends none, so the rest is as unsatisfiable
+    /// without it.
+    fn minimal_core(&self, soft: usize) -> u64 {
+        let mut core = if soft == 64 {
+            u64::MAX
+        } else {
+            (1 << soft) - 1
+        };
+        debug_assert!(!self.is_sat(core, 0));
+        for j in 0..soft {
+            let inside = self.lemmas.iter().filter(|&&lemma| lemma & !core == 0);
+            let idle = inside.fold(0, |all, lemma| all | lemma) >> j & 1 == 0;
+            if idle || !self.is_sat(core & !(1 << j), 0) {
+                core &= !(1 << j);
+            }
+        }
+        core
+    }
+}
+
+/// The set bits of `mask`, lowest first, each as a mask of its own.
+fn bits(mut mask: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let bit = mask & mask.wrapping_neg();
+        mask ^= bit;
+        (bit != 0).then_some(bit)
+    })
 }
 
 impl FuMalik {
@@ -55,6 +159,14 @@ impl FuMalik {
     pub fn solve(&mut self, hard: &Cnf, soft: &[Clause]) -> Option<MaxSatResult> {
         self.sat_calls = 0;
         self.rounds = 0;
+        let runs_before = self.solver.runs;
+        let result = self.solve_counted(hard, soft);
+        self.dpll_runs = self.solver.runs - runs_before;
+        result
+    }
+
+    fn solve_counted(&mut self, hard: &Cnf, soft: &[Clause]) -> Option<MaxSatResult> {
+        let mut masks = SelectorMasks::of(hard, soft);
         let original_vars = hard.num_vars.max(
             soft.iter()
                 .flat_map(|c| c.literals.iter().map(|l| l.var + 1))
@@ -66,7 +178,11 @@ impl FuMalik {
         let mut working = hard.clone();
         working.num_vars = working.num_vars.max(original_vars);
         self.sat_calls += 1;
-        if !self.solver.is_sat_with_assumptions(&working, &[]) {
+        let hard_is_sat = match &masks {
+            Some(masks) => masks.is_sat(0, 0),
+            None => self.solver.is_sat_with_assumptions(&working, &[]),
+        };
+        if !hard_is_sat {
             return None;
         }
 
@@ -111,7 +227,16 @@ impl FuMalik {
                     cost += 1;
                     // Find a minimal core among the selector assumptions.
                     self.sat_calls += selectors.len() + 1;
-                    let core = self.solver.minimal_core(&working, &selectors);
+                    let core = match &mut masks {
+                        Some(masks) => {
+                            let core = masks.minimal_core(soft.len());
+                            masks.cores.push(core);
+                            let members = selectors.iter().enumerate();
+                            let members = members.filter(|(j, _)| core >> j & 1 == 1);
+                            members.map(|(_, sel)| *sel).collect()
+                        }
+                        None => self.solver.minimal_core(&working, &selectors),
+                    };
                     if core.is_empty() {
                         // Hard clauses became unsatisfiable, which cannot
                         // happen since we only ever add relaxations.

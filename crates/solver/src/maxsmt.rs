@@ -36,7 +36,7 @@ use crate::sat::{deletion_core, Clause, Cnf, Literal};
 pub type SoftGroup = Vec<LinearConstraint>;
 
 /// The result of a MaxSMT call. The string front door reports the model
-/// keyed by variable name; the prepared API reports a [`DenseModel`].
+/// keyed by variable name; a caller of [`search`] chooses its own.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaxSmtResult<M = BTreeMap<VarName, i64>> {
     /// Indices of the soft groups that are jointly satisfiable with the hard
@@ -105,17 +105,6 @@ fn search_named(
     Some(res.map_model(|model| named_model(model, &table)))
 }
 
-/// [`max_feasible_subset`] over a system prepared by the caller: `hard` and
-/// each of `groups` are row ranges of `system`. Every probe conjoins rows by
-/// index; nothing is converted twice.
-pub fn max_feasible_rows(
-    system: &Prepared,
-    hard: Range<usize>,
-    groups: &[Range<usize>],
-) -> Option<MaxSmtResult<DenseModel>> {
-    search_rows(system, hard, groups, MAX_LEMMAS)
-}
-
 /// The rows of one probe: the hard rows, then each chosen group's.
 fn conjoin<'a>(
     hard: &Range<usize>,
@@ -126,13 +115,16 @@ fn conjoin<'a>(
     hard.clone().chain(soft)
 }
 
-fn search_rows(
+/// The lemma loop over a prepared system: `hard` and each of `groups` are
+/// row ranges of `system`. Every probe conjoins rows by index; nothing is
+/// converted twice.
+pub(crate) fn search_rows(
     system: &Prepared,
     hard: Range<usize>,
     groups: &[Range<usize>],
     max_lemmas: usize,
 ) -> Option<MaxSmtResult<DenseModel>> {
-    search(
+    search_bounded(
         groups.len(),
         max_lemmas,
         |indices| system.check(conjoin(&hard, groups, indices)),
@@ -140,11 +132,21 @@ fn search_rows(
     )
 }
 
-/// The lemma loop over `n` soft groups. The theory is the caller's: `check`
+/// The lemma loop over `n` soft groups with the caller's theory: `check`
 /// decides the hard constraints with the given groups (none: the hard
-/// constraints alone) and extracts a model, `is_feasible` decides the same
-/// without one.
-pub(crate) fn search<M>(
+/// constraints alone) and extracts a model — or reports
+/// [`Feasibility::FeasibleRationalOnly`] when it keeps none — and
+/// `is_feasible` decides the same without one.
+pub fn search<M>(
+    n: usize,
+    check: impl Fn(&[usize]) -> Feasibility<M>,
+    is_feasible: impl Fn(&[usize]) -> bool,
+) -> Option<MaxSmtResult<M>> {
+    search_bounded(n, MAX_LEMMAS, check, is_feasible)
+}
+
+/// [`search`], giving up after `max_lemmas`.
+fn search_bounded<M>(
     n: usize,
     max_lemmas: usize,
     check: impl Fn(&[usize]) -> Feasibility<M>,

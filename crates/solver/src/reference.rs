@@ -1,21 +1,22 @@
 //! The solver kernel as it was before dominance pruning and dense rows,
 //! kept verbatim as the oracle of the differential tests: Fourier–Motzkin
 //! elimination over string-keyed rows that keeps every dominated row, a
-//! MaxSMT loop with a fresh Fu-Malik engine and a re-solved hard system per
-//! lemma, and a DPLL that copies the formula and appends the assumptions as
-//! unit clauses. The production [`crate::fm`], [`crate::maxsmt`] and
-//! [`crate::sat`] must return the same [`Feasibility`] (variant *and*
-//! model), the same [`MaxSmtResult`] and the same [`SatResult`] (verdict
+//! MaxSMT loop with a from-scratch Fu-Malik solve and a re-solved hard
+//! system per lemma, a Fu-Malik that asks the DPLL for every verdict, and a
+//! DPLL that copies the formula and appends the assumptions as unit
+//! clauses. The production [`crate::fm`], [`crate::maxsmt`],
+//! [`crate::maxsat`] and [`crate::sat`] must return the same [`Feasibility`]
+//! (variant *and* model), the same [`MaxSmtResult`], the same
+//! [`MaxSatResult`] in as many rounds and the same [`SatResult`] (verdict
 //! *and* model — the MaxSAT layer reads its selection off the model) on
 //! every input, through the string front doors and through the prepared,
-//! index-probed API alike — and so must [`crate::string_kernel`], the
-//! pruned string-keyed kernel the counter path still solves with.
+//! index-probed API alike.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::fm::Feasibility;
 use crate::linear::{CmpKind, LinearConstraint, VarName};
-use crate::maxsat::FuMalik;
+use crate::maxsat::MaxSatResult;
 use crate::maxsmt::{MaxSmtResult, SoftGroup};
 use crate::rational::Rational;
 use crate::sat::{Clause, Cnf, Literal, SatResult, VarId};
@@ -286,10 +287,8 @@ pub fn max_feasible_subset(
     // selectors, so 2^n is a hard ceiling; in practice a handful suffice.
     let max_iterations = 10_000;
     for _ in 0..max_iterations {
-        let mut engine = FuMalik::new();
-        let res = engine
-            .solve(&cnf, &soft_clauses)
-            .expect("selector abstraction is always satisfiable");
+        let (res, _) =
+            fu_malik(&cnf, &soft_clauses).expect("selector abstraction is always satisfiable");
         let selected: Vec<usize> = res.satisfied_soft.clone();
 
         // Theory check on the selected groups.
@@ -367,6 +366,66 @@ fn minimal_infeasible_subset(
         }
     }
     core
+}
+
+/// Fu-Malik partial MaxSAT with every verdict — the hard clauses, each
+/// round's solve, each step of the deletion scan — asked of the DPLL below.
+/// Returns the result and the number of relaxation rounds.
+pub fn fu_malik(hard: &Cnf, soft: &[Clause]) -> Option<(MaxSatResult, usize)> {
+    let soft_vars = soft
+        .iter()
+        .flat_map(|c| c.literals.iter().map(|l| l.var + 1));
+    let original_vars = hard.num_vars.max(soft_vars.max().unwrap_or(0));
+    let mut working = hard.clone();
+    working.num_vars = original_vars;
+    if !solve_with_assumptions(&working, &[]).is_sat() {
+        return None;
+    }
+    let mut selectors: Vec<Literal> = Vec::with_capacity(soft.len());
+    for clause in soft {
+        let s = working.fresh_var();
+        let mut lits = vec![Literal::neg(s)];
+        lits.extend(clause.literals.iter().copied());
+        working.add_clause(Clause::new(lits));
+        selectors.push(Literal::pos(s));
+    }
+    let mut rounds = 0usize;
+    loop {
+        if let SatResult::Sat(model) = solve_with_assumptions(&working, &selectors) {
+            let satisfies = |l: &Literal| l.var < model.len() && l.satisfied_by(model[l.var]);
+            let satisfied_soft = (0..soft.len())
+                .filter(|&i| soft[i].literals.iter().any(satisfies))
+                .collect();
+            let result = MaxSatResult {
+                cost: rounds,
+                model: model.iter().copied().take(original_vars).collect(),
+                satisfied_soft,
+            };
+            return Some((result, rounds));
+        }
+        rounds += 1;
+        let mut core = selectors.clone();
+        let mut i = 0;
+        while i < core.len() {
+            let dropped = core.remove(i);
+            if solve_with_assumptions(&working, &core).is_sat() {
+                core.insert(i, dropped);
+                i += 1;
+            }
+        }
+        let mut relax_lits = Vec::with_capacity(core.len());
+        for sel in &core {
+            let r = working.fresh_var();
+            relax_lits.push(Literal::pos(r));
+            let guard = Literal::neg(sel.var);
+            for clause in working.clauses.iter_mut() {
+                if clause.literals.first() == Some(&guard) {
+                    clause.literals.push(Literal::pos(r));
+                }
+            }
+        }
+        working.add_at_most_one(&relax_lits);
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -638,7 +697,8 @@ mod tests {
                 start..next
             })
             .collect();
-        let res = crate::maxsmt::max_feasible_rows(&prepared, 0..hard.len(), &groups)?;
+        let bound = crate::maxsmt::MAX_LEMMAS;
+        let res = crate::maxsmt::search_rows(&prepared, 0..hard.len(), &groups, bound)?;
         Some(res.map_model(|model| name_model(model, &names)))
     }
 
@@ -703,6 +763,75 @@ mod tests {
     }
 
     #[test]
+    fn fu_malik_matches_the_reference_on_seeded_hitting_sets() {
+        use crate::maxsat::FuMalik;
+        let mut rng = DetRng::seed_from(0xb17_3a5c);
+        let units = |n: usize| -> Vec<Clause> {
+            let softs = (0..n).map(|j| Clause::new([Literal::pos(j)]));
+            softs.collect()
+        };
+        let mut engine = FuMalik::new();
+        let (mut relaxed_twice, mut unsat_hard) = (0usize, 0usize);
+        for case in 0..3_000 {
+            let selectors = 2 + rng.index(23);
+            let mut hard = Cnf::new(selectors);
+            for _ in 0..2 + rng.index(if selectors <= 12 { 39 } else { 11 }) {
+                let earlier = hard.clauses.len();
+                let lemma = match rng.index(8) {
+                    // A duplicate of an earlier lemma, or one nested in it.
+                    0 if earlier > 0 => hard.clauses[rng.index(earlier)].clone(),
+                    1 if earlier > 0 => {
+                        let outer = &hard.clauses[rng.index(earlier)].literals;
+                        let inner = outer.iter().filter(|_| rng.chance(0.6));
+                        Clause::new(inner.copied().chain([outer[0]]))
+                    }
+                    _ => {
+                        let len = 1 + rng.index(4.min(selectors));
+                        Clause::new((0..len).map(|_| Literal::neg(rng.index(selectors))))
+                    }
+                };
+                hard.add_clause(lemma);
+            }
+            if rng.chance(0.01) {
+                hard.add_clause(Clause::empty());
+            }
+            let soft = units(selectors);
+            let expected = fu_malik(&hard, &soft);
+            let got = engine.solve(&hard, &soft);
+            let rounds = got.is_some().then_some(engine.rounds);
+            assert_eq!(got.zip(rounds), expected, "case {case}: {hard:?}");
+            // On this shape only the solves whose model is read cost a run.
+            assert_eq!(engine.dpll_runs, rounds.map_or(0, |rounds| rounds + 1));
+            match rounds {
+                Some(rounds) => relaxed_twice += usize::from(rounds >= 2),
+                None => unsat_hard += 1,
+            }
+        }
+        assert!(relaxed_twice >= 1_000, "only {relaxed_twice} deep cases");
+        assert!(unsat_hard >= 5, "only {unsat_hard} unsatisfiable cases");
+
+        // Sixty-five soft clauses do not fit the masks, and a soft clause
+        // that is not its own unit breaks the shape: both take the DPLL path,
+        // which pays a run per verdict, to the same result.
+        let mut swapped = units(64);
+        swapped.swap(3, 4);
+        for (soft, shaped) in [(units(64), true), (units(65), false), (swapped, false)] {
+            let mut chain = Cnf::new(soft.len());
+            for j in 1..soft.len() {
+                chain.add_clause(Clause::new([Literal::neg(j - 1), Literal::neg(j)]));
+            }
+            let (expected, rounds) = fu_malik(&chain, &soft).expect("the lemmas are satisfiable");
+            assert_eq!(engine.solve(&chain, &soft), Some(expected));
+            assert_eq!(engine.rounds, rounds);
+            assert_eq!(rounds, 32);
+            assert!(engine.sat_calls > 32 * soft.len());
+            let every_verdict = engine.sat_calls - usize::from(!cfg!(debug_assertions)) * rounds;
+            let runs = if shaped { rounds + 1 } else { every_verdict };
+            assert_eq!(engine.dpll_runs, runs, "{} soft clauses", soft.len());
+        }
+    }
+
+    #[test]
     fn check_feasible_matches_the_reference_on_seeded_systems() {
         let mut rng = DetRng::seed_from(0x5eed_f00d);
         let mut verdicts = [0usize; 3];
@@ -727,11 +856,6 @@ mod tests {
                 "treaty case {case}: {system:?}"
             );
             assert_eq!(
-                crate::string_kernel::check_feasible(&system),
-                expected,
-                "string-keyed treaty case {case}: {system:?}"
-            );
-            assert_eq!(
                 check_prepared(&system, &decoys),
                 expected,
                 "prepared treaty case {case}: {system:?}"
@@ -749,11 +873,6 @@ mod tests {
                 crate::fm::check_feasible(&system),
                 expected,
                 "general case {case}: {system:?}"
-            );
-            assert_eq!(
-                crate::string_kernel::check_feasible(&system),
-                expected,
-                "string-keyed general case {case}: {system:?}"
             );
             assert_eq!(crate::fm::is_feasible(&system), expected.is_feasible());
             assert_eq!(
@@ -805,11 +924,6 @@ mod tests {
                 "treaty case {case}: hard {hard:?} soft {soft:?}"
             );
             assert_eq!(
-                crate::string_kernel::max_feasible_subset(&hard, &soft),
-                expected,
-                "string-keyed treaty case {case}: hard {hard:?} soft {soft:?}"
-            );
-            assert_eq!(
                 max_prepared(&hard, &soft),
                 expected,
                 "prepared treaty case {case}: hard {hard:?} soft {soft:?}"
@@ -835,11 +949,6 @@ mod tests {
                 crate::maxsmt::max_feasible_subset(&hard, &soft),
                 expected,
                 "general case {case}: hard {hard:?} soft {soft:?}"
-            );
-            assert_eq!(
-                crate::string_kernel::max_feasible_subset(&hard, &soft),
-                expected,
-                "string-keyed general case {case}: hard {hard:?} soft {soft:?}"
             );
             assert_eq!(
                 max_prepared(&hard, &soft),

@@ -182,6 +182,8 @@ pub struct DpllSolver {
     pub decisions: usize,
     /// Statistics: number of unit propagations in the last solve call.
     pub propagations: usize,
+    /// Statistics: number of solve calls made so far.
+    pub runs: usize,
     // Scratch kept across calls — a core extraction makes one call per soft
     // clause, and none of them should allocate.
     /// The current (partial) assignment, indexed by variable.
@@ -241,6 +243,7 @@ impl DpllSolver {
     pub fn is_sat_with_assumptions(&mut self, cnf: &Cnf, assumptions: &[Literal]) -> bool {
         self.decisions = 0;
         self.propagations = 0;
+        self.runs += 1;
         let num_vars = cnf
             .num_vars
             .max(assumptions.iter().map(|a| a.var + 1).max().unwrap_or(0));

@@ -575,6 +575,32 @@ mod tests {
     }
 
     #[test]
+    fn reopening_a_long_log_is_linear() {
+        // 200 k records. Replay used to look every write's transaction up in
+        // a vector of all committed ones, which took this log seconds; no
+        // timing assertion — a quadratic replay shows as a suite that hangs.
+        let engine = Engine::new();
+        let objects: Vec<String> = (0..64).map(|i| format!("o{i}")).collect();
+        let batch = 19;
+        for round in 0..10_000i64 {
+            let writes = (0..batch).map(|i| {
+                let at = (round as usize * batch + i) % objects.len();
+                (objects[at].as_str(), round + 1)
+            });
+            engine
+                .write_logged_batch(&writes.collect::<Vec<_>>())
+                .unwrap();
+            // Batches and singleton transactions alternate.
+            engine.write_logged("solo", round + 1).unwrap();
+        }
+        assert!(engine.wal_len() >= 200_000);
+        let reopened = Engine::reopen_from_frame(&engine.wal_frame()).expect("intact frame");
+        assert_eq!(reopened.wal_len(), engine.wal_len());
+        assert_eq!(reopened.snapshot(), engine.snapshot());
+        assert_eq!(reopened.peek("solo"), 10_000);
+    }
+
+    #[test]
     fn reopened_engines_never_reuse_torn_transaction_ids() {
         // t1 (id 1) commits x=5; t2 (id 2) writes z=9 but its Commit record
         // is torn off by the crash. A fresh transaction on the reopened
