@@ -17,22 +17,24 @@
 //!   site weights, proactive re-splits before the violation).
 //!
 //! Columns: negotiation counts split violation-triggered vs proactive, the
-//! proactive share, the per-round solver-cost p50 (violation rounds, µs),
-//! and two cross-row ratios the CI baseline pins — `warm_speedup`
-//! (cold p50 / row p50; the warm-start claim) and `violation_cut_pct`
-//! (percent fewer violation-triggered rounds than `cold`; the
-//! demand-adaptive claim). The `cold` row also carries `cold_s5_over_s2`:
-//! a cold [`negotiate_allowances`] at five sites over one at two, each the
-//! median of fifteen calls. Treaty solving is polynomial in the
-//! site count, so the ratio is a small constant on any machine; the
-//! baseline pins a ceiling on it, which an elimination that multiplies a
-//! counter's parallel bounds per site (the ratio was ~10⁴) cannot meet.
+//! proactive share, the per-round solver-cost p50 (violation rounds, whole
+//! µs as the runtime reports it), and two cross-row ratios the CI baseline
+//! pins — `warm_speedup` (the p50 wall time, in nanoseconds, of an
+//! operation that triggers a violation round, `cold` over the row's; the
+//! warm-start claim) and `violation_cut_pct` (percent fewer
+//! violation-triggered rounds than `cold`; the demand-adaptive claim). The
+//! `cold` row also carries `cold_s5_over_s2`: a cold [`negotiate_allowances`]
+//! at five sites over one at two, each the median of fifteen calls. Treaty
+//! solving is polynomial in the site count, so the ratio is a small constant
+//! on any machine; the baseline pins a ceiling on it, which an elimination
+//! that multiplies a counter's parallel bounds per site (the ratio was ~10⁴)
+//! cannot meet.
 //! And `lowheadroom_over_cold_s4`: at four sites, a warm negotiation once
 //! the counter has drained to where no previous split fits (bases 11, 7, 4
 //! and 2: each a MaxSMT search of tens of lemmas) over a cold one at base
 //! 40, same estimator — what the tail of a negotiation costs relative to its
-//! common case, which a probe that eliminates per deletion step or a core
-//! extraction that searches per verdict multiplies by five to ten.
+//! common case, which a probe that eliminates per deletion step or a
+//! hitting-set search restarted per lemma multiplies by four or more.
 
 use homeo_lang::ids::ObjId;
 use std::hint::black_box;
@@ -58,7 +60,8 @@ const HOT_SITE_SHARE: f64 = 0.8;
 /// treaties continuously (this suite measures the slow path, the inverse
 /// of the `bench` suite's ample-headroom setup).
 const INITIAL: i64 = 60;
-/// Operations per `submit_batch` call.
+/// Operations issued in a row from one site (each submitted, and timed, on
+/// its own).
 const BATCH: usize = 16;
 /// Timed calls behind each side of `cold_s5_over_s2` and
 /// `lowheadroom_over_cold_s4` (after two untimed).
@@ -90,6 +93,9 @@ struct SyncRun {
     /// Per-round solver micros of every violation-triggered round, in
     /// completion order.
     solver_samples: Vec<f64>,
+    /// Wall nanoseconds of every operation that triggered a violation round,
+    /// from submit to outcome, in completion order.
+    violation_nanos: Vec<f64>,
 }
 
 impl SyncRun {
@@ -98,15 +104,14 @@ impl SyncRun {
             .synchronizations
             .saturating_sub(self.stats.proactive_negotiations)
     }
+}
 
-    fn solver_p50(&self) -> f64 {
-        if self.solver_samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.solver_samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite solver micros"));
-        sorted[sorted.len() / 2]
+/// The median of `samples`, 0 for none.
+fn p50(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
     }
+    median(samples.to_vec())
 }
 
 /// Drives the identical seeded 80/20 order stream under one tuning.
@@ -122,22 +127,25 @@ fn run_tuning(tuning: SyncTuning, ops: usize) -> SyncRun {
     // three tunings see byte-identical workloads.
     let mut rng = DetRng::seed_from(0x5F7C);
     let pool: Vec<ObjId> = (0..ITEMS).map(stock).collect();
-    let mut solver_samples = Vec::new();
-    let mut ops_buf: Vec<SiteOp> = Vec::with_capacity(BATCH);
+    let (mut solver_samples, mut violation_nanos) = (Vec::new(), Vec::new());
     let mut issued = 0;
     while issued < ops {
         let site = usize::from(!rng.chance(HOT_SITE_SHARE));
-        ops_buf.clear();
+        // A batch's operations one at a time (the same outcomes, the batch
+        // path only groups the WAL's commits), so a violation round's wall
+        // time is its operation's.
         for _ in 0..BATCH {
-            ops_buf.push(SiteOp::Order {
+            let op = SiteOp::Order {
                 obj: pool[rng.index(ITEMS)].clone(),
                 amount: 1,
                 refill_to: Some(INITIAL),
-            });
-        }
-        for outcome in runtime.submit_batch(site, &ops_buf) {
+            };
+            let started = Instant::now();
+            let outcome = runtime.submit_batch(site, std::slice::from_ref(&op))[0];
+            let nanos = started.elapsed().as_nanos() as f64;
             if outcome.synchronized {
                 solver_samples.push(outcome.solver_micros as f64);
+                violation_nanos.push(nanos);
             }
         }
         issued += BATCH;
@@ -145,6 +153,7 @@ fn run_tuning(tuning: SyncTuning, ops: usize) -> SyncRun {
     SyncRun {
         stats: runtime.stats,
         solver_samples,
+        violation_nanos,
     }
 }
 
@@ -219,7 +228,7 @@ pub fn suite(effort: Effort) -> Figure {
     let warm = run_tuning(SyncTuning::default(), ops);
     let adaptive = run_tuning(SyncTuning::adaptive(), ops);
 
-    let cold_p50 = cold.solver_p50();
+    let cold_p50_nanos = p50(&cold.violation_nanos);
     let cold_violations = cold.violation_syncs();
     let mut fig = Figure::new(
         "sync",
@@ -241,11 +250,8 @@ pub fn suite(effort: Effort) -> Figure {
     let cold_s5_over_s2 = cold_negotiation_nanos(5) / cold_negotiation_nanos(2);
     let lowheadroom_over_cold_s4 = lowheadroom_over_cold(4);
     for (label, run) in [("cold", &cold), ("warm", &warm), ("adaptive", &adaptive)] {
-        let p50 = run.solver_p50();
         let violations = run.violation_syncs();
-        // Memoized rounds regularly measure 0µs; clamp the denominator at
-        // 1µs so the ratio stays finite (and conservative).
-        let speedup = cold_p50 / p50.max(1.0);
+        let speedup = cold_p50_nanos / p50(&run.violation_nanos);
         let cut = if cold_violations > 0 {
             100.0 * (1.0 - violations as f64 / cold_violations as f64)
         } else {
@@ -263,7 +269,7 @@ pub fn suite(effort: Effort) -> Figure {
                 run.stats.negotiations as f64,
                 violations as f64,
                 proactive_share,
-                p50,
+                p50(&run.solver_samples),
                 speedup,
                 cut,
                 cold_only(cold_s5_over_s2),

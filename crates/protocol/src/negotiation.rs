@@ -471,9 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn allowance_chains_are_pinned_to_the_unpruned_solver() {
-        // Recorded from the last commit whose solver kept every dominated
-        // row: a kernel that changes a treaty changes one of these.
+    fn allowance_chains_are_pinned_to_the_first_maximum_selection() {
+        // Each round installs the tightened configuration of the
+        // lexicographically first maximum feasible set of sampled states,
+        // laid out step-major (`maxsmt`'s module docs): a solver or a layout
+        // that changes a treaty changes one of these.
         let two: [[i64; 2]; 7] = [
             [-14, -15],
             [-10, -11],
@@ -488,7 +490,7 @@ mod tests {
             [-6, -7, -7, -9],
             [-4, -5, -5, -7],
             [-3, -4, -4, -4],
-            [-2, -3, -2, -3],
+            [-3, -3, -2, -2],
             [-1, -2, -1, -2],
             [0, -1, -1, -1],
             [0, 0, 0, -1],

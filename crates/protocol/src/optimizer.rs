@@ -124,13 +124,16 @@ pub fn optimize_timed_warm(
     // hard constraints.
     let now = templates.soft_group_for_db(db);
 
-    // Soft groups: one per sampled future database state.
-    let mut soft: Vec<Vec<i64>> = Vec::with_capacity(cfg.futures * cfg.lookahead);
-    for _ in 0..cfg.futures {
+    // Soft groups: one per sampled future database state, sampled one future
+    // after another but laid out step-major (index `step·futures + future`).
+    // The search keeps the lexicographically first maximum set of groups, so
+    // where it must drop some, it keeps the nearest steps of every future.
+    let mut soft: Vec<Vec<i64>> = vec![Vec::new(); cfg.futures * cfg.lookahead];
+    for future in 0..cfg.futures {
         let mut current = db.clone();
-        for _ in 0..cfg.lookahead {
+        for step in 0..cfg.lookahead {
             current = model.step(&current, &mut rng);
-            soft.push(templates.soft_group_for_db(&current));
+            soft[step * cfg.futures + future] = templates.soft_group_for_db(&current);
         }
     }
     let total_states = soft.len();

@@ -446,10 +446,11 @@ mod tests {
         (TreatyTemplates::generate(&psi, &loc, sites), db, objects)
     }
 
-    /// Algorithm 1 by elimination — the MaxSMT call through the string
-    /// front door (Fourier–Motzkin per probe), then the tightened
-    /// configuration, else the solver's model, else the default: the
-    /// configuration and the number of sampled states it keeps.
+    /// Algorithm 1 by elimination — the sampled states step-major, the
+    /// MaxSMT call through the string front door (Fourier–Motzkin per
+    /// probe), then the tightened configuration, else the solver's model,
+    /// else the default: the configuration and the number of sampled states
+    /// it keeps.
     fn eliminated_config(
         templates: &TreatyTemplates,
         db: &Database,
@@ -457,12 +458,12 @@ mod tests {
         cfg: &OptimizerConfig,
     ) -> (Vec<i64>, usize) {
         let mut rng = DetRng::seed_from(cfg.seed);
-        let mut futures = Vec::new();
-        for _ in 0..cfg.futures {
+        let mut futures = vec![Vec::new(); cfg.futures * cfg.lookahead];
+        for future in 0..cfg.futures {
             let mut current = db.clone();
-            for _ in 0..cfg.lookahead {
+            for step in 0..cfg.lookahead {
                 current = model.step(&current, &mut rng);
-                futures.push(templates.soft_group_for_db(&current));
+                futures[step * cfg.futures + future] = templates.soft_group_for_db(&current);
             }
         }
         let default = templates.default_config(db);
@@ -645,10 +646,23 @@ mod tests {
                 .iter()
                 .map(|g| group_constraints(&templates, g))
                 .collect();
-            // The box solve: the same search as through the string front
-            // door, and no model.
+            // The box solve selects the lexicographically first maximum
+            // feasible set of futures, found here by asking the elimination
+            // about every subset; it runs the same search as the string
+            // front door, and keeps no model.
             let expected = max_feasible_subset(&hard, &soft).expect("H2 holds on the database");
             let boxed = templates.solve_boxes(&now, &futures).expect("same system");
+            let subsets = (0u32..1 << futures.len()).map(|mask| {
+                let chosen = (0..futures.len()).filter(|&j| mask >> j & 1 == 1);
+                chosen.collect::<Vec<usize>>()
+            });
+            let first_maximum = subsets
+                .filter(|chosen| {
+                    let rows = chosen.iter().flat_map(|&j| soft[j].iter().cloned());
+                    fm::is_feasible(&hard.iter().cloned().chain(rows).collect::<Vec<_>>())
+                })
+                .min_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
+            assert_eq!(Some(&boxed.selected), first_maximum.as_ref(), "case {case}");
             assert_eq!(
                 (boxed.selected, boxed.cost, boxed.lemmas, boxed.gave_up),
                 (

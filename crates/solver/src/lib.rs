@@ -15,17 +15,18 @@
 //!   equalities ([`fm`]): the dense kernel, entered either through the string
 //!   front doors ([`check_feasible`], [`max_feasible_subset`]) or through a
 //!   system prepared once and probed by row index ([`Prepared`]),
-//! * a propositional CNF representation and a DPLL SAT solver ([`sat`]),
-//! * the Fu-Malik partial-MaxSAT algorithm with deletion-based unsat-core
-//!   extraction ([`maxsat`]),
-//! * a lazy MaxSMT loop over linear-arithmetic soft groups
-//!   ([`maxsmt`]) — the engine behind the treaty-configuration optimizer
-//!   (Algorithm 1 in the paper); its lemma loop ([`maxsmt::search`]) takes
-//!   the theory as two closures, so a caller whose probes are arithmetic
-//!   (the treaty templates' box probes) brings its own.
+//! * a lazy MaxSMT loop over linear-arithmetic soft groups ([`maxsmt`]) —
+//!   the engine behind the treaty-configuration optimizer (Algorithm 1 in
+//!   the paper). Its lemma loop ([`maxsmt::search`]) is an implicit
+//!   hitting-set search: the theory, two closures the caller brings (the
+//!   treaty templates' arithmetic box probes, say), learns minimal infeasible
+//!   sets of groups, and a bitmask search keeps the lexicographically first
+//!   maximum set that contains none of them. Where the paper asks Fu-Malik
+//!   for "the largest satisfiable subset", this answers with a specified one.
 //!
 //! Everything is deterministic and dependency-free, which keeps protocol
-//! rounds and benchmarks reproducible.
+//! rounds and benchmarks reproducible. The propositional side of the paper's
+//! design — CNF, DPLL and Fu-Malik — survives only as test oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,17 +34,17 @@
 pub mod dense;
 pub mod fm;
 pub mod linear;
-pub mod maxsat;
+#[cfg(test)]
+mod maxsat;
 pub mod maxsmt;
 pub mod rational;
 #[cfg(test)]
 mod reference;
-pub mod sat;
+#[cfg(test)]
+mod sat;
 
 pub use dense::{DenseModel, Var};
 pub use fm::{check_feasible, Feasibility, Prepared};
 pub use linear::{CmpKind, LinExpr, LinearConstraint, VarName};
-pub use maxsat::{FuMalik, MaxSatResult};
 pub use maxsmt::{max_feasible_subset, MaxSmtResult, SoftGroup};
 pub use rational::Rational;
-pub use sat::{Clause, Cnf, DpllSolver, Literal, SatResult, VarId};

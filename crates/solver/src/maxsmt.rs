@@ -7,18 +7,42 @@
 //! database state), and the hard constraint is the treaty-template validity
 //! condition — also a conjunction of linear constraints.
 //!
-//! This module implements the standard lazy-SMT architecture on top of the
-//! in-crate pieces:
+//! The search is an implicit hitting-set loop over the soft groups:
 //!
-//! 1. abstract each soft group `j` with a propositional selector `s_j`;
-//! 2. ask the Fu-Malik MaxSAT engine for an assignment maximizing the number
-//!    of selected groups, subject to the theory lemmas learned so far;
-//! 3. check the selected groups (plus the hard constraints) for feasibility
-//!    with the Fourier–Motzkin engine;
-//! 4. if feasible, the selection is optimal (the lemmas are sound, so the
-//!    propositional optimum is an upper bound); otherwise shrink the
-//!    selection to a minimal infeasible subset and add the corresponding
-//!    blocking clause, then repeat.
+//! 1. a *lemma* is a set of groups the theory has shown jointly infeasible
+//!    with the hard constraints; none is known at first;
+//! 2. the hitting-set engine (`Lemmas`) proposes the lexicographically
+//!    first maximum-cardinality set of groups that contains no lemma;
+//! 3. the theory checks the proposal with the hard constraints;
+//! 4. if it is feasible, it is the answer; otherwise a deletion scan shrinks
+//!    it to a minimal infeasible subset, which becomes the next lemma, and
+//!    the loop repeats.
+//!
+//! # What the answer is
+//!
+//! A lemma excludes only infeasible sets, and a superset of an infeasible set
+//! is infeasible. So every feasible set is lemma-free, and a feasible proposal
+//! — the first maximum-cardinality lemma-free set — is the lexicographically
+//! first maximum-cardinality *feasible* set: of all the largest sets of groups
+//! the hard constraints admit together, the one that keeps the lowest indices
+//! (the smallest as a sorted index list). That holds whatever the lemmas were
+//! and in whatever order they were learned, so the selection is a function of
+//! the instance alone; the lemma loop decides only how fast it is found.
+//!
+//! # The engine
+//!
+//! `Lemmas` keeps each lemma as a multi-word bitmask over the groups and
+//! answers with an include-first depth-first search in index order, under a
+//! budget of excluded groups that deepens one at a time. The first set the
+//! search reaches within budget `k`, when none exists within `k − 1`, is the
+//! lexicographically first of cost `k`. Lemmas only ever arrive, so the
+//! optimum's cost never falls and each search starts at the previous cost
+//! instead of at zero — and, while the cost holds, at the previous optimum:
+//! every set the search passed before it contained a lemma, and still does.
+//! A node is pruned when the still-open lemmas (none of whose groups is
+//! excluded yet) contain more pairwise disjoint undecided parts than the
+//! budget has exclusions left, since each needs one of its own. Nothing is
+//! allocated per node, and any number of groups fits.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -28,8 +52,6 @@ use serde::{Deserialize, Serialize};
 use crate::dense::DenseModel;
 use crate::fm::{named_model, Feasibility, Prepared};
 use crate::linear::{LinearConstraint, VarName};
-use crate::maxsat::FuMalik;
-use crate::sat::{deletion_core, Clause, Cnf, Literal};
 
 /// A soft group: a conjunction of linear constraints that should ideally hold
 /// together (e.g. "no treaty violation in sampled future database Dⱼ").
@@ -39,15 +61,17 @@ pub type SoftGroup = Vec<LinearConstraint>;
 /// keyed by variable name; a caller of [`search`] chooses its own.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaxSmtResult<M = BTreeMap<VarName, i64>> {
-    /// Indices of the soft groups that are jointly satisfiable with the hard
-    /// constraints (a maximum-cardinality such set).
+    /// Indices, ascending, of the soft groups that are jointly satisfiable
+    /// with the hard constraints: the lexicographically first
+    /// maximum-cardinality such set — among the largest feasible sets, the
+    /// one that keeps the lowest indices (module docs).
     pub selected: Vec<usize>,
     /// An integer model satisfying the hard constraints and every selected
     /// group, when one could be extracted.
     pub model: Option<M>,
     /// Number of soft groups left unsatisfied (`soft.len() - selected.len()`).
     pub cost: usize,
-    /// Number of theory lemmas (blocking clauses) learned.
+    /// Number of theory lemmas (minimal infeasible sets of groups) learned.
     pub lemmas: usize,
     /// True when the search hit its lemma bound and gave up: `selected` is
     /// then empty (the hard constraints alone), not a maximum.
@@ -67,9 +91,8 @@ impl<M> MaxSmtResult<M> {
     }
 }
 
-/// Safety bound on the lemma loop: each iteration learns a new blocking
-/// clause over the selectors, so 2^n is a hard ceiling; in practice a handful
-/// suffice.
+/// Safety bound on the lemma loop: each iteration learns a new lemma, so 2^n
+/// is a hard ceiling; in practice a handful suffice.
 pub(crate) const MAX_LEMMAS: usize = 10_000;
 
 /// Computes a maximum-cardinality subset of `soft_groups` that is jointly
@@ -136,7 +159,9 @@ pub(crate) fn search_rows(
 /// decides the hard constraints with the given groups (none: the hard
 /// constraints alone) and extracts a model — or reports
 /// [`Feasibility::FeasibleRationalOnly`] when it keeps none — and
-/// `is_feasible` decides the same without one.
+/// `is_feasible` decides the same without one. Both must agree, and a set
+/// that contains an infeasible set must be infeasible; the selection is then
+/// the one the module docs specify.
 pub fn search<M>(
     n: usize,
     check: impl Fn(&[usize]) -> Feasibility<M>,
@@ -159,22 +184,14 @@ fn search_bounded<M>(
         Feasibility::Feasible(model) => Some(model),
         Feasibility::FeasibleRationalOnly => None,
     };
-    let mut cnf = Cnf::new(n);
-    let soft_clauses: Vec<Clause> = (0..n).map(|j| Clause::new([Literal::pos(j)])).collect();
-    let mut engine = FuMalik::new();
-
-    for lemmas in 0..max_lemmas {
-        let selected = engine
-            .solve(&cnf, &soft_clauses)
-            .expect("selector abstraction is always satisfiable")
-            .satisfied_soft;
+    let mut lemmas = Lemmas::new(n);
+    for learned in 0..max_lemmas {
+        let selected = lemmas.optimum();
         match check(&selected) {
             Feasibility::Infeasible => {
                 // Shrink to a minimal infeasible subset of the selected
-                // groups (deletion-based), then block it.
-                let core = deletion_core(&selected, |subset| !is_feasible(subset));
-                debug_assert!(!core.is_empty());
-                cnf.add_clause(Clause::new(core.iter().map(|&j| Literal::neg(j))));
+                // groups (deletion-based): the next lemma.
+                lemmas.add(&deletion_core(&selected, |subset| !is_feasible(subset)));
             }
             feasible => {
                 return Some(MaxSmtResult {
@@ -184,7 +201,7 @@ fn search_bounded<M>(
                         Feasibility::Feasible(model) => Some(model),
                         _ => None,
                     },
-                    lemmas,
+                    lemmas: learned,
                     gave_up: false,
                 });
             }
@@ -200,8 +217,181 @@ fn search_bounded<M>(
     })
 }
 
+/// The deletion-based minimal unsatisfiable subset of `items`: walking the
+/// items in order, each is dropped when the rest (the items kept so far plus
+/// those not yet visited) is still unsatisfiable, and kept otherwise.
+///
+/// One test per item, on purpose: nearly every test is of an unsatisfiable
+/// set, which a theory refutes cheaply, while a bisecting variant spends half
+/// its tests on satisfiable sets.
+///
+/// Precondition: `unsat(items)` (checked by debug assertion).
+pub(crate) fn deletion_core<T: Copy>(items: &[T], mut unsat: impl FnMut(&[T]) -> bool) -> Vec<T> {
+    debug_assert!(unsat(items));
+    let mut core: Vec<T> = items.to_vec();
+    let mut i = 0;
+    while i < core.len() {
+        let dropped = core.remove(i);
+        if !unsat(&core) {
+            // This item is necessary for unsatisfiability; keep it.
+            core.insert(i, dropped);
+            i += 1;
+        }
+    }
+    core
+}
+
+/// The hitting-set engine (module docs): the lemmas learned over `n` groups
+/// and the optimum they leave.
+#[derive(Debug)]
+pub(crate) struct Lemmas {
+    n: usize,
+    /// 64-bit words per mask.
+    words: usize,
+    /// Lemma `l` is `masks[l * words..][..words]`.
+    masks: Vec<u64>,
+    /// The optimum's cost under the lemmas so far, a lower bound on it under
+    /// any more.
+    cost: usize,
+    /// The search's excluded groups, all below its current index.
+    excluded: Vec<u64>,
+    /// The last optimum's excluded groups, when it was found at `cost`.
+    last: Option<Vec<u64>>,
+    /// Scratch for one node: the undecided groups of the packed lemmas.
+    packed: Vec<u64>,
+}
+
+impl Lemmas {
+    /// No lemmas over `n` groups.
+    pub(crate) fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Lemmas {
+            n,
+            words,
+            masks: Vec::new(),
+            cost: 0,
+            excluded: vec![0; words],
+            last: None,
+            packed: vec![0; words],
+        }
+    }
+
+    /// Learns that the groups of `lemma` (indices below `n`, not empty) are
+    /// never all selected together.
+    pub(crate) fn add(&mut self, lemma: &[usize]) {
+        assert!(!lemma.is_empty(), "an empty lemma leaves no selection");
+        let at = self.masks.len();
+        self.masks.resize(at + self.words, 0);
+        for &j in lemma {
+            debug_assert!(j < self.n);
+            self.masks[at + j / 64] |= 1 << (j % 64);
+        }
+    }
+
+    /// The lexicographically first maximum-cardinality set of groups that
+    /// contains no lemma, ascending.
+    pub(crate) fn optimum(&mut self) -> Vec<usize> {
+        loop {
+            self.excluded.fill(0);
+            let resume = self.last.is_some();
+            if self.descend(0, self.cost, resume) {
+                break;
+            }
+            self.cost += 1;
+            self.last = None;
+        }
+        self.last = Some(self.excluded.clone());
+        let excluded = |j: usize| self.excluded[j / 64] >> (j % 64) & 1 == 1;
+        (0..self.n).filter(|&j| !excluded(j)).collect()
+    }
+
+    /// Whether the groups from `from` on can be decided, excluding at most
+    /// `budget` of them, so that no lemma is wholly selected — the first
+    /// such way in include-first order is left in `excluded`. Every group
+    /// below `from` is decided; an open lemma (none of its groups excluded)
+    /// therefore has all of those selected and needs one of its undecided
+    /// groups excluded.
+    ///
+    /// With `resume`, every decision so far is the last optimum's, and the
+    /// search skips the sets it passed on the way to it: they contained a
+    /// lemma then, so they still do.
+    fn descend(&mut self, from: usize, budget: usize, resume: bool) -> bool {
+        if from == self.n {
+            // Selecting a group never completes a lemma, so none is open.
+            return true;
+        }
+        let first_word = from / 64;
+        self.packed[first_word..].fill(0);
+        // Disjoint open lemmas, the lowest undecided group of any open lemma,
+        // and the lowest that is some open lemma's last undecided group.
+        let (mut packing, mut next, mut forced) = (0, usize::MAX, usize::MAX);
+        for lemma in self.masks.chunks_exact(self.words) {
+            let mut hit = lemma.iter().zip(&self.excluded[..=first_word]);
+            if hit.any(|(l, e)| l & e != 0) {
+                continue;
+            }
+            let (mut lowest, mut size, mut disjoint) = (usize::MAX, 0, true);
+            let words = undecided(lemma, from).zip(&self.packed[first_word..]);
+            for (w, (rest, packed)) in (first_word..).zip(words) {
+                if rest != 0 && lowest == usize::MAX {
+                    lowest = w * 64 + rest.trailing_zeros() as usize;
+                }
+                size += rest.count_ones();
+                disjoint &= rest & packed == 0;
+            }
+            debug_assert!(size > 0, "a lemma was wholly selected");
+            next = next.min(lowest);
+            if size == 1 {
+                forced = forced.min(lowest);
+            }
+            if disjoint {
+                packing += 1;
+                let packed = self.packed[first_word..].iter_mut();
+                packed
+                    .zip(undecided(lemma, from))
+                    .for_each(|(packed, rest)| *packed |= rest);
+            }
+        }
+        let last = self.last.as_deref().filter(|_| resume);
+        let last_excludes = |j: usize| last.is_some_and(|last| last[j / 64] >> (j % 64) & 1 == 1);
+        if packing == 0 {
+            // No lemma is open: select every remaining group.
+            debug_assert!((from..self.n).all(|j| !last_excludes(j)));
+            return true;
+        }
+        if packing > budget {
+            return false;
+        }
+        // The groups below `next` are in no open lemma: select them (the last
+        // optimum did too, or selecting them all would have come first).
+        // Then `next` itself, unless that completes a lemma or comes before
+        // the last optimum; else exclude it.
+        debug_assert!((from..next).all(|j| !last_excludes(j)));
+        let last_excluded = last_excludes(next);
+        if !last_excluded && forced != next && self.descend(next + 1, budget, resume) {
+            return true;
+        }
+        let (word, bit) = (next / 64, 1 << (next % 64));
+        self.excluded[word] |= bit;
+        if self.descend(next + 1, budget - 1, last_excluded) {
+            return true;
+        }
+        self.excluded[word] &= !bit;
+        false
+    }
+}
+
+/// The groups of `lemma` from `from` on, as its words from `from / 64` on.
+fn undecided(lemma: &[u64], from: usize) -> impl Iterator<Item = u64> + '_ {
+    let below = u64::MAX << (from % 64);
+    let words = lemma[from / 64..].iter().enumerate();
+    words.map(move |(i, &word)| if i == 0 { word & below } else { word })
+}
+
 #[cfg(test)]
 mod tests {
+    use homeo_sim::DetRng;
+
     use super::*;
     use crate::linear::LinExpr;
 
@@ -329,5 +519,112 @@ mod tests {
         assert!(res.selected.is_empty());
         assert_eq!(res.cost, 0);
         assert!(res.model.is_some());
+    }
+
+    /// A seeded lemma over `n` groups: usually one to four random groups,
+    /// sometimes a copy of an earlier lemma or a subset of one (nested), or a
+    /// single group.
+    fn seeded_lemma(rng: &mut DetRng, n: usize, earlier: &[Vec<usize>]) -> Vec<usize> {
+        match rng.index(8) {
+            0 if !earlier.is_empty() => earlier[rng.index(earlier.len())].clone(),
+            1 if !earlier.is_empty() => {
+                let outer = &earlier[rng.index(earlier.len())];
+                let inner = outer[1..].iter().filter(|_| rng.chance(0.6));
+                inner.copied().chain([outer[0]]).collect()
+            }
+            2 => vec![rng.index(n)],
+            _ => (0..1 + rng.index(4.min(n))).map(|_| rng.index(n)).collect(),
+        }
+    }
+
+    /// The lexicographically first maximum-cardinality subset of `0..n`
+    /// (`n ≤ 20`) that contains no lemma, by enumeration — the sets that
+    /// exclude `k` groups for `k` from zero up, the smallest as an index list
+    /// of the first `k` that has any — and how many sets that `k` has.
+    fn first_lemma_free(n: usize, lemmas: &[Vec<usize>]) -> (Vec<usize>, usize) {
+        let masks: Vec<u32> = lemmas
+            .iter()
+            .map(|lemma| lemma.iter().fold(0, |mask, &j| mask | 1 << j))
+            .collect();
+        let all = (1u32 << n) - 1;
+        for k in 0..=n as u32 {
+            // Every `k`-subset of the groups as a mask, ascending (Gosper).
+            let mut excluded = (1u32 << k) - 1;
+            let mut found: Vec<Vec<usize>> = Vec::new();
+            while excluded <= all {
+                let selected = all & !excluded;
+                if masks.iter().all(|&lemma| selected & lemma != lemma) {
+                    found.push((0..n).filter(|&j| selected >> j & 1 == 1).collect());
+                }
+                if excluded == 0 {
+                    break;
+                }
+                let low = excluded & excluded.wrapping_neg();
+                let ripple = excluded + low;
+                excluded = (((ripple ^ excluded) >> 2) / low) | ripple;
+            }
+            if let Some(first) = found.iter().min() {
+                return (first.clone(), found.len());
+            }
+        }
+        unreachable!("the empty set contains no (non-empty) lemma")
+    }
+
+    fn engine_with(n: usize, lemmas: &[Vec<usize>]) -> Lemmas {
+        let mut engine = Lemmas::new(n);
+        lemmas.iter().for_each(|lemma| engine.add(lemma));
+        engine
+    }
+
+    #[test]
+    fn the_engine_selects_the_first_maximum_lemma_free_set() {
+        let mut rng = DetRng::seed_from(0x1e33_a5e7);
+        let (mut deep, mut ties) = (0usize, 0usize);
+        for case in 0..5_000 {
+            let n = 2 + rng.index(19);
+            let mut lemmas: Vec<Vec<usize>> = Vec::new();
+            for _ in 0..1 + rng.index(if n <= 10 { 3 * n } else { 24 }) {
+                let lemma = seeded_lemma(&mut rng, n, &lemmas);
+                lemmas.push(lemma);
+            }
+            let (expected, optima) = first_lemma_free(n, &lemmas);
+            let optimum = engine_with(n, &lemmas).optimum();
+            assert_eq!(optimum, expected, "case {case}: {n} groups, {lemmas:?}");
+            deep += usize::from(n - expected.len() >= 4);
+            ties += usize::from(optima > 1);
+            // Learning the lemmas one at a time (as the lemma loop does,
+            // resuming at the last cost) finds what a fresh engine does.
+            let mut incremental = Lemmas::new(n);
+            for (at, lemma) in lemmas.iter().enumerate() {
+                incremental.add(lemma);
+                let fresh = engine_with(n, &lemmas[..=at]).optimum();
+                assert_eq!(incremental.optimum(), fresh, "case {case}, lemma {at}");
+            }
+        }
+        assert!(
+            deep >= 2_000,
+            "only {deep} cases excluded four groups or more"
+        );
+        assert!(ties >= 2_000, "only {ties} cases had a tie to break");
+    }
+
+    #[test]
+    fn masks_span_words_past_sixty_four_groups() {
+        // A chain 0–1, 1–2, …: the optimum drops every other group, from the
+        // second on, across word boundaries.
+        for n in [63, 64, 65, 128, 129, 200] {
+            let chain: Vec<Vec<usize>> = (1..n).map(|j| vec![j - 1, j]).collect();
+            let optimum = engine_with(n, &chain).optimum();
+            assert_eq!(optimum, (0..n).step_by(2).collect::<Vec<_>>(), "{n} groups");
+        }
+        // One lemma per word boundary, and one across all of them.
+        let mut engine = Lemmas::new(130);
+        engine.add(&[63, 64]);
+        engine.add(&[127, 128]);
+        assert_eq!(engine.optimum().len(), 128);
+        engine.add(&[0, 65, 129]);
+        let optimum = engine.optimum();
+        assert_eq!(optimum.len(), 127);
+        assert!(!optimum.contains(&64) && !optimum.contains(&128) && !optimum.contains(&129));
     }
 }

@@ -1,20 +1,17 @@
-//! Propositional CNF representation and a DPLL SAT solver.
+//! Propositional CNF and a DPLL SAT solver, kept as test oracles.
 //!
-//! The instances produced by the homeostasis pipeline are small (tens to a
-//! few hundred variables), so a classic DPLL with unit propagation and a
-//! most-occurring-literal branching heuristic is plenty, while staying easy
-//! to audit. Assumption literals are supported so that the MaxSAT layer can
-//! perform deletion-based unsat-core extraction.
-
-use std::fmt;
-
-use serde::{Deserialize, Serialize};
+//! The release solver decides no propositional formula: the MaxSMT loop's
+//! hitting sets are bitmasks ([`crate::maxsmt`]). What is here serves the
+//! reference Fu-Malik ([`crate::maxsat`]) that the seeded differentials hold
+//! the hitting-set engine's cost to — a DPLL with unit propagation and a
+//! most-occurring-literal branching heuristic that copies the formula and
+//! appends the assumptions as unit clauses, slow and easy to audit.
 
 /// A propositional variable, identified by index (0-based).
 pub type VarId = usize;
 
 /// A literal: a variable together with a polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Literal {
     /// The variable.
     pub var: VarId,
@@ -53,18 +50,8 @@ impl Literal {
     }
 }
 
-impl fmt::Display for Literal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.positive {
-            write!(f, "x{}", self.var)
-        } else {
-            write!(f, "¬x{}", self.var)
-        }
-    }
-}
-
 /// A clause: a disjunction of literals.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Clause {
     /// The literals of the clause.
     pub literals: Vec<Literal>,
@@ -77,20 +64,10 @@ impl Clause {
             literals: literals.into_iter().collect(),
         }
     }
-
-    /// The empty clause (always false).
-    pub fn empty() -> Self {
-        Clause::default()
-    }
-
-    /// True if the clause contains the literal.
-    pub fn contains(&self, lit: Literal) -> bool {
-        self.literals.contains(&lit)
-    }
 }
 
 /// A CNF formula.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
     /// Number of variables (variables are `0..num_vars`).
     pub num_vars: usize,
@@ -125,11 +102,6 @@ impl Cnf {
         self.clauses.push(clause);
     }
 
-    /// Adds a unit clause.
-    pub fn add_unit(&mut self, lit: Literal) {
-        self.add_clause(Clause::new([lit]));
-    }
-
     /// Adds a pairwise at-most-one constraint over the literals (standard
     /// quadratic encoding, adequate for the small relaxation groups produced
     /// by Fu-Malik).
@@ -140,19 +112,10 @@ impl Cnf {
             }
         }
     }
-
-    /// Evaluates the formula under a (total) assignment.
-    pub fn evaluate(&self, assignment: &[bool]) -> bool {
-        self.clauses.iter().all(|c| {
-            c.literals
-                .iter()
-                .any(|l| l.var < assignment.len() && l.satisfied_by(assignment[l.var]))
-        })
-    }
 }
 
 /// The result of a SAT call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatResult {
     /// Satisfiable with the given assignment (indexed by variable).
     Sat(Vec<bool>),
@@ -165,232 +128,155 @@ impl SatResult {
     pub fn is_sat(&self) -> bool {
         matches!(self, SatResult::Sat(_))
     }
-
-    /// The model, if any.
-    pub fn model(&self) -> Option<&[bool]> {
-        match self {
-            SatResult::Sat(m) => Some(m),
-            SatResult::Unsat => None,
-        }
-    }
 }
 
-/// A DPLL solver with unit propagation.
-#[derive(Debug, Default)]
-pub struct DpllSolver {
-    /// Statistics: number of decisions made in the last solve call.
-    pub decisions: usize,
-    /// Statistics: number of unit propagations in the last solve call.
-    pub propagations: usize,
-    /// Statistics: number of solve calls made so far.
-    pub runs: usize,
-    // Scratch kept across calls — a core extraction makes one call per soft
-    // clause, and none of them should allocate.
-    /// The current (partial) assignment, indexed by variable.
-    assignment: Vec<Value>,
-    /// Propagated variables, oldest first; each search level undoes its own
-    /// suffix.
-    trail: Vec<VarId>,
-    /// Occurrence counts for the branching heuristic.
-    counts: Vec<usize>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Value {
     Unassigned,
     True,
     False,
 }
 
-impl Value {
-    fn of(positive: bool) -> Self {
-        if positive {
-            Value::True
-        } else {
-            Value::False
-        }
+/// Solves the formula under the given assumption literals (treated as
+/// additional unit clauses).
+pub fn solve_with_assumptions(cnf: &Cnf, assumptions: &[Literal]) -> SatResult {
+    let mut clauses: Vec<Vec<Literal>> = cnf.clauses.iter().map(|c| c.literals.clone()).collect();
+    for a in assumptions {
+        clauses.push(vec![*a]);
+    }
+    let num_vars = cnf
+        .num_vars
+        .max(assumptions.iter().map(|a| a.var + 1).max().unwrap_or(0));
+    let mut assignment = vec![Value::Unassigned; num_vars];
+    if dpll(&clauses, &mut assignment) {
+        SatResult::Sat(
+            assignment
+                .into_iter()
+                .map(|v| matches!(v, Value::True))
+                .collect(),
+        )
+    } else {
+        SatResult::Unsat
     }
 }
 
-impl DpllSolver {
-    /// Creates a solver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Solves the formula.
-    pub fn solve(&mut self, cnf: &Cnf) -> SatResult {
-        self.solve_with_assumptions(cnf, &[])
-    }
-
-    /// Solves the formula under the given assumption literals (treated as
-    /// additional unit clauses).
-    pub fn solve_with_assumptions(&mut self, cnf: &Cnf, assumptions: &[Literal]) -> SatResult {
-        if self.is_sat_with_assumptions(cnf, assumptions) {
-            SatResult::Sat(
-                self.assignment
-                    .iter()
-                    .map(|v| matches!(v, Value::True))
-                    .collect(),
-            )
-        } else {
-            SatResult::Unsat
-        }
-    }
-
-    /// Whether the formula is satisfiable under the assumptions (the verdict
-    /// of [`Self::solve_with_assumptions`] without its model).
-    pub fn is_sat_with_assumptions(&mut self, cnf: &Cnf, assumptions: &[Literal]) -> bool {
-        self.decisions = 0;
-        self.propagations = 0;
-        self.runs += 1;
-        let num_vars = cnf
-            .num_vars
-            .max(assumptions.iter().map(|a| a.var + 1).max().unwrap_or(0));
-        self.assignment.clear();
-        self.assignment.resize(num_vars, Value::Unassigned);
-        self.trail.clear();
-        // An assumption is a unit clause, and unit propagation reaches the
-        // same fixpoint (or a conflict) in any order: assign them up front
-        // and the formula is never copied or extended.
-        for a in assumptions {
-            let wanted = Value::of(a.positive);
-            match self.assignment[a.var] {
-                Value::Unassigned => {
-                    self.assignment[a.var] = wanted;
-                    self.propagations += 1;
-                }
-                value if value == wanted => {}
-                _ => return false,
-            }
-        }
-        self.dpll(&cnf.clauses)
-    }
-
-    fn satisfies(&self, lit: &Literal) -> bool {
-        self.assignment[lit.var] == Value::of(lit.positive)
-    }
-
-    fn is_unassigned(&self, lit: &Literal) -> bool {
-        self.assignment[lit.var] == Value::Unassigned
-    }
-
-    /// Unassigns everything propagated since the trail was `mark` long.
-    fn undo_to(&mut self, mark: usize) {
-        for v in self.trail.drain(mark..) {
-            self.assignment[v] = Value::Unassigned;
-        }
-    }
-
-    fn dpll(&mut self, clauses: &[Clause]) -> bool {
-        // Unit propagation to fixpoint.
-        let mark = self.trail.len();
-        loop {
-            let mut propagated = false;
-            for clause in clauses {
-                if clause.literals.iter().any(|l| self.satisfies(l)) {
-                    continue;
-                }
-                let mut unassigned = clause.literals.iter().filter(|l| self.is_unassigned(l));
-                match (unassigned.next(), unassigned.next()) {
-                    (None, _) => {
-                        // Conflict: undo and fail.
-                        self.undo_to(mark);
-                        return false;
+fn dpll(clauses: &[Vec<Literal>], assignment: &mut Vec<Value>) -> bool {
+    // Unit propagation to fixpoint.
+    let mut trail: Vec<VarId> = Vec::new();
+    loop {
+        let mut propagated = false;
+        for clause in clauses {
+            let mut unassigned: Option<Literal> = None;
+            let mut satisfied = false;
+            let mut unassigned_count = 0;
+            for lit in clause {
+                match assignment[lit.var] {
+                    Value::Unassigned => {
+                        unassigned_count += 1;
+                        unassigned = Some(*lit);
                     }
-                    (Some(lit), None) => {
-                        self.assignment[lit.var] = Value::of(lit.positive);
-                        self.trail.push(lit.var);
-                        self.propagations += 1;
-                        propagated = true;
+                    Value::True if lit.positive => {
+                        satisfied = true;
+                        break;
+                    }
+                    Value::False if !lit.positive => {
+                        satisfied = true;
+                        break;
                     }
                     _ => {}
                 }
             }
-            if !propagated {
-                break;
-            }
-        }
-
-        // Pick a branching variable: the literal occurring most often among
-        // not-yet-satisfied clauses.
-        self.counts.clear();
-        self.counts.resize(self.assignment.len(), 0);
-        let mut any_unassigned = false;
-        for clause in clauses {
-            if clause.literals.iter().any(|l| self.satisfies(l)) {
+            if satisfied {
                 continue;
             }
-            for lit in &clause.literals {
-                if self.is_unassigned(lit) {
-                    self.counts[lit.var] += 1;
-                    any_unassigned = true;
+            match unassigned_count {
+                0 => {
+                    // Conflict: undo and fail.
+                    for &v in &trail {
+                        assignment[v] = Value::Unassigned;
+                    }
+                    return false;
                 }
+                1 => {
+                    let lit = unassigned.expect("one unassigned literal");
+                    assignment[lit.var] = if lit.positive {
+                        Value::True
+                    } else {
+                        Value::False
+                    };
+                    trail.push(lit.var);
+                    propagated = true;
+                }
+                _ => {}
             }
         }
-        if !any_unassigned {
-            // Propagation left no clause falsified, so all are satisfied:
-            // assign the remaining variables arbitrarily (false).
-            for v in self.assignment.iter_mut() {
+        if !propagated {
+            break;
+        }
+    }
+
+    // Pick a branching variable: the literal occurring most often among
+    // not-yet-satisfied clauses.
+    let mut counts: Vec<usize> = vec![0; assignment.len()];
+    let mut any_unassigned = false;
+    for clause in clauses {
+        let satisfied = clause.iter().any(|l| match assignment[l.var] {
+            Value::True => l.positive,
+            Value::False => !l.positive,
+            Value::Unassigned => false,
+        });
+        if satisfied {
+            continue;
+        }
+        for lit in clause {
+            if assignment[lit.var] == Value::Unassigned {
+                counts[lit.var] += 1;
+                any_unassigned = true;
+            }
+        }
+    }
+    if !any_unassigned {
+        // All clauses satisfied (or no clauses left to satisfy).
+        let all_satisfied = clauses.iter().all(|clause| {
+            clause.iter().any(|l| match assignment[l.var] {
+                Value::True => l.positive,
+                Value::False => !l.positive,
+                Value::Unassigned => false,
+            })
+        });
+        if all_satisfied {
+            // Assign remaining variables arbitrarily (false).
+            for v in assignment.iter_mut() {
                 if *v == Value::Unassigned {
                     *v = Value::False;
                 }
             }
             return true;
         }
-        let branch_var = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(v, _)| self.assignment[*v] == Value::Unassigned)
-            .max_by_key(|(_, c)| **c)
-            .map(|(v, _)| v)
-            .expect("an unassigned variable exists");
-
-        self.decisions += 1;
-        for value in [Value::True, Value::False] {
-            self.assignment[branch_var] = value;
-            if self.dpll(clauses) {
-                return true;
-            }
-            self.assignment[branch_var] = Value::Unassigned;
+        for &v in &trail {
+            assignment[v] = Value::Unassigned;
         }
-        self.undo_to(mark);
-        false
+        return false;
     }
+    let branch_var = counts
+        .iter()
+        .enumerate()
+        .filter(|(v, _)| assignment[*v] == Value::Unassigned)
+        .max_by_key(|(_, c)| **c)
+        .map(|(v, _)| v)
+        .expect("an unassigned variable exists");
 
-    /// Extracts a minimal (irreducible) unsat core from `soft` under the hard
-    /// formula `cnf`: a subset `C ⊆ soft` such that `cnf ∧ C` is UNSAT and
-    /// every proper subset of `C` obtained by dropping one element is SAT.
-    ///
-    /// Precondition: `cnf ∧ soft` is UNSAT (checked by debug assertion).
-    pub fn minimal_core(&mut self, cnf: &Cnf, soft: &[Literal]) -> Vec<Literal> {
-        deletion_core(soft, |subset| !self.is_sat_with_assumptions(cnf, subset))
-    }
-}
-
-/// The deletion-based minimal unsatisfiable subset of `items`: walking the
-/// items in order, each is dropped when the rest (the items kept so far plus
-/// those not yet visited) is still unsatisfiable, and kept otherwise.
-///
-/// One test per item, on purpose: nearly every test is of an unsatisfiable
-/// set, which both users refute by propagation alone, while a bisecting
-/// variant spends half its tests on satisfiable sets that need a search.
-///
-/// Precondition: `unsat(items)` (checked by debug assertion).
-pub(crate) fn deletion_core<T: Copy>(items: &[T], mut unsat: impl FnMut(&[T]) -> bool) -> Vec<T> {
-    debug_assert!(unsat(items));
-    let mut core: Vec<T> = items.to_vec();
-    let mut i = 0;
-    while i < core.len() {
-        let dropped = core.remove(i);
-        if !unsat(&core) {
-            // This item is necessary for unsatisfiability; keep it.
-            core.insert(i, dropped);
-            i += 1;
+    for value in [Value::True, Value::False] {
+        assignment[branch_var] = value;
+        if dpll(clauses, assignment) {
+            return true;
         }
+        assignment[branch_var] = Value::Unassigned;
     }
-    core
+    for &v in &trail {
+        assignment[v] = Value::Unassigned;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -398,32 +284,46 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
+    use crate::maxsmt::deletion_core;
 
     fn lit(v: VarId, positive: bool) -> Literal {
         Literal { var: v, positive }
     }
 
+    fn solve(cnf: &Cnf) -> SatResult {
+        solve_with_assumptions(cnf, &[])
+    }
+
+    /// Whether every clause has a literal the assignment satisfies.
+    fn evaluate(cnf: &Cnf, assignment: &[bool]) -> bool {
+        cnf.clauses.iter().all(|c| {
+            c.literals
+                .iter()
+                .any(|l| l.var < assignment.len() && l.satisfied_by(assignment[l.var]))
+        })
+    }
+
     #[test]
     fn empty_formula_is_sat() {
         let cnf = Cnf::new(0);
-        assert!(DpllSolver::new().solve(&cnf).is_sat());
+        assert!(solve(&cnf).is_sat());
     }
 
     #[test]
     fn single_empty_clause_is_unsat() {
         let mut cnf = Cnf::new(1);
-        cnf.add_clause(Clause::empty());
-        assert!(!DpllSolver::new().solve(&cnf).is_sat());
+        cnf.add_clause(Clause::default());
+        assert!(!solve(&cnf).is_sat());
     }
 
     #[test]
     fn unit_propagation_chain() {
         // x0, x0 -> x1, x1 -> x2  ==> all true
         let mut cnf = Cnf::new(3);
-        cnf.add_unit(lit(0, true));
+        cnf.add_clause(Clause::new([lit(0, true)]));
         cnf.add_clause(Clause::new([lit(0, false), lit(1, true)]));
         cnf.add_clause(Clause::new([lit(1, false), lit(2, true)]));
-        match DpllSolver::new().solve(&cnf) {
+        match solve(&cnf) {
             SatResult::Sat(m) => assert_eq!(m, vec![true, true, true]),
             SatResult::Unsat => panic!("should be sat"),
         }
@@ -432,19 +332,19 @@ mod tests {
     #[test]
     fn simple_contradiction() {
         let mut cnf = Cnf::new(1);
-        cnf.add_unit(lit(0, true));
-        cnf.add_unit(lit(0, false));
-        assert_eq!(DpllSolver::new().solve(&cnf), SatResult::Unsat);
+        cnf.add_clause(Clause::new([lit(0, true)]));
+        cnf.add_clause(Clause::new([lit(0, false)]));
+        assert_eq!(solve(&cnf), SatResult::Unsat);
     }
 
     #[test]
     fn pigeonhole_two_pigeons_one_hole_is_unsat() {
         // p0 in hole, p1 in hole, but not both: x0, x1, ¬x0 ∨ ¬x1
         let mut cnf = Cnf::new(2);
-        cnf.add_unit(lit(0, true));
-        cnf.add_unit(lit(1, true));
+        cnf.add_clause(Clause::new([lit(0, true)]));
+        cnf.add_clause(Clause::new([lit(1, true)]));
         cnf.add_clause(Clause::new([lit(0, false), lit(1, false)]));
-        assert_eq!(DpllSolver::new().solve(&cnf), SatResult::Unsat);
+        assert_eq!(solve(&cnf), SatResult::Unsat);
     }
 
     #[test]
@@ -472,9 +372,8 @@ mod tests {
             ]));
         }
         for cnf in [small, strided] {
-            let mut solver = DpllSolver::new();
-            match solver.solve(&cnf) {
-                SatResult::Sat(m) => assert!(cnf.evaluate(&m)),
+            match solve(&cnf) {
+                SatResult::Sat(m) => assert!(evaluate(&cnf, &m)),
                 SatResult::Unsat => panic!("should be sat"),
             }
         }
@@ -484,13 +383,8 @@ mod tests {
     fn assumptions_restrict_the_search() {
         let mut cnf = Cnf::new(2);
         cnf.add_clause(Clause::new([lit(0, true), lit(1, true)]));
-        let mut solver = DpllSolver::new();
-        assert!(solver
-            .solve_with_assumptions(&cnf, &[lit(0, false)])
-            .is_sat());
-        assert!(!solver
-            .solve_with_assumptions(&cnf, &[lit(0, false), lit(1, false)])
-            .is_sat());
+        assert!(solve_with_assumptions(&cnf, &[lit(0, false)]).is_sat());
+        assert!(!solve_with_assumptions(&cnf, &[lit(0, false), lit(1, false)]).is_sat());
     }
 
     #[test]
@@ -498,15 +392,10 @@ mod tests {
         let mut cnf = Cnf::new(3);
         let lits = [lit(0, true), lit(1, true), lit(2, true)];
         cnf.add_at_most_one(&lits);
-        let mut solver = DpllSolver::new();
         // Any single one can be true...
-        assert!(solver
-            .solve_with_assumptions(&cnf, &[lit(0, true), lit(1, false)])
-            .is_sat());
+        assert!(solve_with_assumptions(&cnf, &[lit(0, true), lit(1, false)]).is_sat());
         // ...but two at once cannot.
-        assert!(!solver
-            .solve_with_assumptions(&cnf, &[lit(0, true), lit(1, true)])
-            .is_sat());
+        assert!(!solve_with_assumptions(&cnf, &[lit(0, true), lit(1, true)]).is_sat());
     }
 
     #[test]
@@ -514,8 +403,10 @@ mod tests {
         // Hard: ¬x0 ∨ ¬x1 (can't have both), soft: x0, x1, x2.
         let mut cnf = Cnf::new(3);
         cnf.add_clause(Clause::new([lit(0, false), lit(1, false)]));
-        let mut solver = DpllSolver::new();
-        let core = solver.minimal_core(&cnf, &[lit(0, true), lit(1, true), lit(2, true)]);
+        let soft = [lit(0, true), lit(1, true), lit(2, true)];
+        let core = deletion_core(&soft, |subset| {
+            !solve_with_assumptions(&cnf, subset).is_sat()
+        });
         let vars: BTreeSet<_> = core.iter().map(|l| l.var).collect();
         assert_eq!(vars, BTreeSet::from([0, 1]));
     }
@@ -528,8 +419,8 @@ mod tests {
         let lits: Vec<Literal> = (0..5).map(|v| lit(v, true)).collect();
         cnf.add_at_most_one(&lits);
         for l in &lits {
-            cnf.add_unit(*l);
+            cnf.add_clause(Clause::new([*l]));
         }
-        assert_eq!(DpllSolver::new().solve(&cnf), SatResult::Unsat);
+        assert_eq!(solve(&cnf), SatResult::Unsat);
     }
 }
