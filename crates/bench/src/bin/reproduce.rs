@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [--full] [--csv-dir DIR] [--json PATH] [--baseline PATH]
-//!           [--list] [--threads N] [--homeo-load CONFIG] [--ops N]
+//!           [--list] [--homeo-load CONFIG] [--ops N]
 //!           [--clients N] [--rate R] [--metrics] [--sites N,N,...]
 //!           [--retire SITE]
 //!           [all | table1 | fig10 | ... | fig29
@@ -27,10 +27,8 @@
 //! any pinned cell drops below half its baseline value (the CI perf gate:
 //! ops/sec floors for `bench`, solver-speedup and violation-cut ratios for
 //! `sync`). `--list` prints
-//! the available ids (one per line) and exits. `--threads N` additionally
-//! runs the real-concurrency load mode: N worker threads, one client thread
-//! each, over the channel transport. `--homeo-load CONFIG` is the TCP load
-//! client: it connects to the `homeostasisd` cluster described by CONFIG
+//! the available ids (one per line) and exits. `--homeo-load CONFIG` is the
+//! TCP load client: it connects to the `homeostasisd` cluster described by CONFIG
 //! (started separately, any mix of processes/machines on the config's
 //! addresses), drives `--ops N` (default 2000) seeded order operations per
 //! site over the sockets, and self-verifies counter conservation — a failed
@@ -63,7 +61,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use homeo_bench::{all_ids, generate, Effort, Figure, Json};
-use homeo_cluster::{tcp_load_opts, threaded_load, ClusterSpec, LoadOptions, TcpClient};
+use homeo_cluster::{tcp_load_opts, ClusterSpec, LoadOptions, TcpClient};
 use homeo_telemetry::Histogram;
 
 fn main() {
@@ -71,7 +69,6 @@ fn main() {
     let mut csv_dir: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
     let mut homeo_load: Option<PathBuf> = None;
     let mut ops_per_site: usize = 2_000;
     let mut clients: usize = 0;
@@ -91,16 +88,6 @@ fn main() {
                     println!("{id}");
                 }
                 return;
-            }
-            "--threads" => {
-                let n = args.next().and_then(|n| n.parse::<usize>().ok());
-                match n {
-                    Some(n) if n > 0 => threads = Some(n),
-                    _ => {
-                        eprintln!("--threads requires a positive thread count");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--homeo-load" => {
                 let path = args.next().unwrap_or_else(|| {
@@ -188,7 +175,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: reproduce [--full] [--csv-dir DIR] [--json PATH] \
-                     [--baseline PATH] [--list] [--threads N] \
+                     [--baseline PATH] [--list] \
                      [--homeo-load CONFIG] [--ops N] [--clients N] [--rate R] \
                      [--metrics] [--sites N,N,...] [--retire SITE] \
                      [all | {}]...",
@@ -213,8 +200,8 @@ fn main() {
         eprintln!("--retire needs --homeo-load CONFIG to reach the cluster");
         std::process::exit(2);
     }
-    if requested.is_empty() && (threads.is_some() || homeo_load.is_some()) {
-        // `--threads N` / `--homeo-load CONFIG` alone run just the load mode.
+    if requested.is_empty() && homeo_load.is_some() {
+        // `--homeo-load CONFIG` alone runs just the load mode.
     } else if requested.is_empty() || requested.iter().any(|r| r == "all") {
         requested = known.iter().map(|s| s.to_string()).collect();
     } else if site_counts.is_some() && !requested.iter().any(|r| r == "scaling") {
@@ -299,32 +286,6 @@ fn main() {
             }
         }
     }
-    if let Some(sites) = threads {
-        const OPS_PER_SITE: usize = 2_000;
-        const ITEMS: usize = 64;
-        println!("Threaded load: {sites} site worker threads, one client thread each");
-        let result = std::panic::catch_unwind(|| threaded_load(sites, OPS_PER_SITE, ITEMS, 42));
-        match result {
-            Ok(report) => {
-                println!(
-                    "{} sites x {OPS_PER_SITE} ops: {} committed ({} synchronized) in {:.2}s = {:.0} ops/s\n",
-                    report.sites,
-                    report.committed,
-                    report.synchronized,
-                    report.elapsed_secs,
-                    report.throughput
-                );
-                if report.committed != (sites * OPS_PER_SITE) as u64 {
-                    eprintln!("FAILED: threaded load lost operations\n");
-                    failed.push("--threads".to_string());
-                }
-            }
-            Err(_) => {
-                eprintln!("FAILED to run the threaded load mode\n");
-                failed.push("--threads".to_string());
-            }
-        }
-    }
     if let Some(config_path) = &homeo_load {
         match run_homeo_load(config_path, ops_per_site, clients, rate, metrics, retire) {
             Ok(()) => {}
@@ -338,7 +299,7 @@ fn main() {
         eprintln!(
             "{} of {} task(s) failed: {}",
             failed.len(),
-            requested.len() + usize::from(threads.is_some()) + usize::from(homeo_load.is_some()),
+            requested.len() + usize::from(homeo_load.is_some()),
             failed.join(" ")
         );
         std::process::exit(1);

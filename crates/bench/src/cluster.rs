@@ -11,7 +11,7 @@
 
 use homeo_cluster::{
     free_loopback_addrs, spawn_cluster, tcp_load, ClientApi, ClusterConfig, ClusterSpec,
-    DaemonFleet, SimCluster, SimNetConfig, TcpCluster, ThreadedCluster,
+    DaemonFleet, SimCluster, SimNetConfig, TcpCluster,
 };
 use homeo_lang::ids::ObjId;
 use homeo_protocol::{OptimizerConfig, ReplicatedMode, WorkloadHints};
@@ -367,9 +367,9 @@ fn tcp_loopback_smoke() -> Figure {
 }
 
 /// The elastic surface the join/leave scenario needs on top of
-/// [`ClientApi`]: grow the cluster by one site, retire one member. All
-/// three backends provide these as inherent methods; the trait lets one
-/// driver scale them all.
+/// [`ClientApi`]: grow the cluster by one site, retire one member. Both
+/// backends provide these as inherent methods; the trait lets one driver
+/// scale either.
 trait ElasticApi: ClientApi {
     /// Spawns a fresh site, joins it to the live cluster and blocks until
     /// the epoch-bumped roster is committed. Returns the new site id.
@@ -378,15 +378,6 @@ trait ElasticApi: ClientApi {
     /// folded into the survivors) and blocks until the shrunk roster is
     /// committed.
     fn leave_site(&mut self, site: usize);
-}
-
-impl ElasticApi for ThreadedCluster {
-    fn join_site(&mut self) -> usize {
-        self.join()
-    }
-    fn leave_site(&mut self, site: usize) {
-        self.leave(site)
-    }
 }
 
 impl ElasticApi for SimCluster {
@@ -578,16 +569,16 @@ fn drive_elastic(cluster: &mut dyn ElasticApi, backend: &str, fig: &mut Figure) 
     );
 }
 
-/// `scenario-join-leave`: scale 3 → 4 → 3 sites under load on all three
-/// backends — worker threads over channels, the deterministic simulator
-/// over the Table 1 WAN with seeded faults, and real TCP sockets — gating
+/// `scenario-join-leave`: scale 3 → 4 → 3 sites under load on both
+/// backends — the deterministic simulator over the Table 1 WAN with seeded
+/// faults, and real TCP sockets — gating
 /// conservation and cross-site agreement after every membership change.
 /// Any violation panics, so `reproduce scenario-join-leave` exits non-zero
 /// on a broken handoff.
 fn join_leave_under_load() -> Figure {
     let mut fig = Figure::new(
         "scenario-join-leave",
-        "Elastic membership under load (3 → 4 → 3 sites, all three backends): \
+        "Elastic membership under load (3 → 4 → 3 sites, both backends): \
          in-flight orders race the shard handoff; conservation and cross-site \
          agreement gated after every change",
         vec![
@@ -597,13 +588,6 @@ fn join_leave_under_load() -> Figure {
             "total_after_fold".into(),
         ],
     );
-    {
-        let mut cluster = ThreadedCluster::new(
-            SITES,
-            ClusterConfig::new(homeo_mode()).with_timer(Timer::fixed_zero()),
-        );
-        drive_elastic(&mut cluster, "threaded", &mut fig);
-    }
     {
         // The sim backend keeps the fault schedule of the other cluster
         // scenarios: Table 1 WAN RTTs, 5 ms jitter, seeded drops and

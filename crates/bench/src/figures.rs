@@ -689,7 +689,7 @@ mod tests {
     fn every_figure_id_is_known() {
         for id in all_figure_ids() {
             // Only table1 is cheap enough to fully generate here; the others
-            // are covered by the criterion benches and the reproduce binary.
+            // are covered by the reproduce binary.
             if id == "table1" {
                 let fig = generate(id, Effort::Quick);
                 assert_eq!(fig.id, "table1");

@@ -1,12 +1,9 @@
 //! The N-site scaling sweep (`reproduce scaling`, or any figure run with
 //! `--sites N,N,...`): how throughput and synchronization cost behave as
-//! the cluster grows, on all three backends.
+//! the cluster grows, on both backends.
 //!
-//! One row per site count, three measurement families per row:
+//! One row per site count, two measurement families per row:
 //!
-//! * `threaded_ops_s` — wall-clock committed ops/sec of the channel
-//!   transport ([`threaded_load`]): real threads, no network, the upper
-//!   bound the protocol itself allows at that membership.
 //! * `tcp_ops_s` — wall-clock committed ops/sec over real loopback
 //!   sockets (in-process [`spawn_cluster`] site nodes driven by the
 //!   pipelined [`tcp_load`] client), with the load's counter-conservation
@@ -22,13 +19,13 @@
 //! Every point self-verifies as it generates (lost operations, a
 //! conservation violation or cross-site disagreement after the final fold
 //! panic, which `reproduce` turns into a non-zero exit). The sim column is
-//! byte-for-byte deterministic; the two wall-clock columns are gated in CI
+//! byte-for-byte deterministic; the wall-clock column is gated in CI
 //! by conservative floors in `crates/bench/baseline.json`, and `sim_op_ms`
 //! by a ceiling (the `_ms` suffix inverts the baseline rule).
 
 use homeo_cluster::{
-    free_loopback_addrs, spawn_cluster, tcp_load, threaded_load, ClusterConfig, ClusterSpec,
-    SimCluster, SimNetConfig,
+    free_loopback_addrs, spawn_cluster, tcp_load, ClusterConfig, ClusterSpec, SimCluster,
+    SimNetConfig,
 };
 use homeo_lang::ids::ObjId;
 use homeo_protocol::{OptimizerConfig, ReplicatedMode};
@@ -74,18 +71,17 @@ pub fn sweep(site_counts: &[usize], effort: Effort) -> Figure {
         !site_counts.is_empty(),
         "the scaling sweep needs at least one site count"
     );
-    let (threaded_ops, tcp_ops, sim_ops) = match effort {
-        Effort::Quick => (2_000, 1_000, 150),
-        Effort::Full => (5_000, 3_000, 400),
+    let (tcp_ops, sim_ops) = match effort {
+        Effort::Quick => (1_000, 150),
+        Effort::Full => (3_000, 400),
     };
     let mut fig = Figure::new(
         "scaling",
-        "N-site scaling: threaded/TCP wall-clock ops/s (loopback) and simulated \
+        "N-site scaling: TCP wall-clock ops/s (loopback) and simulated \
          virtual ms per op under the Table 1 WAN geometry with seeded faults \
          (sites past 5 tile the datacenters)",
         vec![
             "sites".into(),
-            "threaded_ops_s".into(),
             "tcp_ops_s".into(),
             "sim_committed".into(),
             "sim_op_ms".into(),
@@ -93,18 +89,9 @@ pub fn sweep(site_counts: &[usize], effort: Effort) -> Figure {
     );
     for &sites in site_counts {
         assert!(sites >= 2, "a scaling point needs at least two sites");
-        let threaded = threaded_load(sites, threaded_ops, 64, 42);
-        assert_eq!(
-            threaded.committed,
-            (sites * threaded_ops) as u64,
-            "the threaded load lost operations at {sites} sites"
-        );
         let tcp_ops_s = tcp_point(sites, tcp_ops);
         let (sim_committed, sim_op_ms) = sim_point(sites, sim_ops);
-        fig.push_row(
-            sites.to_string(),
-            vec![threaded.throughput, tcp_ops_s, sim_committed, sim_op_ms],
-        );
+        fig.push_row(sites.to_string(), vec![tcp_ops_s, sim_committed, sim_op_ms]);
     }
     fig
 }
@@ -202,9 +189,9 @@ mod tests {
         assert_eq!(fig.rows.len(), 1);
         assert_eq!(fig.rows[0].0, "2");
         let values = &fig.rows[0].1;
-        assert!(values[0] > 0.0 && values[1] > 0.0, "throughput columns");
-        assert_eq!(values[2], (2 * 150) as f64, "sim committed count");
-        assert!(values[3] >= 0.0, "virtual ms per op");
+        assert!(values[0] > 0.0, "throughput column");
+        assert_eq!(values[1], (2 * 150) as f64, "sim committed count");
+        assert!(values[2] >= 0.0, "virtual ms per op");
     }
 
     #[test]

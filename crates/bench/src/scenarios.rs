@@ -9,9 +9,9 @@
 //! `reproduce`'s non-zero exit code:
 //!
 //! * `scenario-flash-sale` — a hot item drains under skewed
-//!   order traffic on **all three** cluster backends (threaded / sim /
-//!   TCP); every backend must produce the serial `GeneralRuntime` oracle's
-//!   per-operation outcomes and byte-identical folded state.
+//!   order traffic on **both** cluster backends (sim / TCP); each must
+//!   produce the serial `GeneralRuntime` oracle's per-operation outcomes
+//!   and byte-identical folded state.
 //! * `scenario-rate-limiter` — 10⁵ registered token
 //!   buckets (the namespace scale of a per-user rate limiter); seeded
 //!   traffic over a hot subset must conserve tokens exactly across refills
@@ -27,7 +27,7 @@
 //!   operation, against the serial oracle.
 
 use homeo_cluster::{
-    ClientApi, ClusterConfig, ClusterRuntime, ProgramBundle, SimNetConfig, TcpCluster,
+    ClientApi, ClusterConfig, ProgramBundle, SimCluster, SimNetConfig, TcpCluster,
 };
 use homeo_lang::ast::Transaction;
 use homeo_lang::ids::ObjId;
@@ -180,8 +180,8 @@ fn fixed_config(mode: ReplicatedMode) -> ClusterConfig {
 /// `scenario-flash-sale`: one nearly-sold-out hot item takes 60% of the
 /// order traffic while cold items idle — the flash-sale shape that makes
 /// the hot treaty violate over and over. The same seeded schedule runs on
-/// the serial oracle and on all three cluster backends; all four must
-/// agree on every operation and on the folded state.
+/// the serial oracle and on both cluster backends; all three must agree on
+/// every operation and on the folded state.
 fn flash_sale() -> Figure {
     const SITES: usize = 3;
     const HOT_INITIAL: i64 = 5;
@@ -238,28 +238,27 @@ fn flash_sale() -> Figure {
             hot_final as f64,
         ],
     );
-    let backends: Vec<(&str, ClusterRuntime)> = vec![
-        (
-            "cluster-threaded",
-            ClusterRuntime::threaded(SITES, fixed_config(ReplicatedMode::EvenSplit)),
-        ),
+    let backends: Vec<(&str, Box<dyn ClientApi>)> = vec![
         (
             "cluster-sim",
-            ClusterRuntime::sim(
+            Box::new(SimCluster::new(
                 SITES,
                 fixed_config(ReplicatedMode::EvenSplit),
                 SimNetConfig::reliable(SITES, 100),
-            ),
+            )),
         ),
         (
             "cluster-tcp",
-            ClusterRuntime::tcp(SITES, fixed_config(ReplicatedMode::EvenSplit)),
+            Box::new(TcpCluster::new(
+                SITES,
+                fixed_config(ReplicatedMode::EvenSplit),
+            )),
         ),
     ];
     for (label, mut cluster) in backends {
         let (committed, synchronized) = replay_and_verify(
             label,
-            &mut cluster,
+            cluster.as_mut(),
             &fixture,
             &schedule,
             &oracle_outcomes,
@@ -275,9 +274,9 @@ fn flash_sale() -> Figure {
 }
 
 /// `scenario-rate-limiter`: a per-user token-bucket rate limiter at real
-/// namespace scale — 10⁵ registered buckets on the threaded cluster. A
-/// seeded request storm hits a hot subset; exhausted buckets refill (the
-/// window reset). Verified: every request admitted, and exact token
+/// namespace scale — 10⁵ registered buckets on a fault-free simulated
+/// cluster. A seeded request storm hits a hot subset; exhausted buckets
+/// refill (the window reset). Verified: every request admitted, and exact token
 /// conservation — `seeded − committed + refills × window = folded total` —
 /// plus replica agreement on every hot bucket.
 fn rate_limiter() -> Figure {
@@ -288,7 +287,11 @@ fn rate_limiter() -> Figure {
     const OPS: usize = 2_000;
 
     let bucket = |k: usize| ObjId::new(format!("bucket[{k}]"));
-    let mut cluster = ClusterRuntime::threaded(SITES, fixed_config(ReplicatedMode::EvenSplit));
+    let mut cluster = SimCluster::new(
+        SITES,
+        fixed_config(ReplicatedMode::EvenSplit),
+        SimNetConfig::reliable(SITES, 100),
+    );
     for k in 0..BUCKETS {
         cluster.register_counter(bucket(k), WINDOW, 0);
     }
@@ -356,9 +359,9 @@ fn rate_limiter() -> Figure {
 
     let mut fig = Figure::new(
         "scenario-rate-limiter",
-        "Per-user rate limiter at namespace scale (100k token buckets, 3 sites, \
-         threaded cluster): seeded request storm over a hot subset; token \
-         conservation and replica agreement verified exactly",
+        "Per-user rate limiter at namespace scale (100k token buckets, 3 sites): \
+         seeded request storm over a hot subset; token conservation and \
+         replica agreement verified exactly",
         vec![
             "metric".into(),
             "buckets".into(),
@@ -398,7 +401,7 @@ fn seat_map() -> Figure {
         reorder_chance: 0.05,
         seed: 0x5EA7,
     };
-    let mut cluster = ClusterRuntime::sim(
+    let mut cluster = SimCluster::new(
         SITES,
         fixed_config(ReplicatedMode::Homeostasis { optimizer: None }),
         net,
@@ -425,13 +428,10 @@ fn seat_map() -> Figure {
             // Quiesce, then fail-stop a site mid-sale and bring it back:
             // the WAL replays its committed bookings, the treaty state
             // refetches from a peer, and the sale continues.
-            let ClusterRuntime::Sim(sim) = &mut cluster else {
-                unreachable!("seat map runs on the sim backend");
-            };
-            sim.synchronize(0);
-            sim.kill(2);
-            sim.restart(2);
-            sim.run_until_quiescent();
+            cluster.synchronize(0);
+            cluster.kill(2);
+            cluster.restart(2);
+            cluster.run_until_quiescent();
         }
         let out = cluster.execute(
             rng.index(SITES),
@@ -558,7 +558,7 @@ mod tests {
     fn flash_sale_generates_and_verifies() {
         let fig = flash_sale();
         assert_eq!(fig.id, "scenario-flash-sale");
-        assert_eq!(fig.rows.len(), 4); // oracle + three backends
+        assert_eq!(fig.rows.len(), 3); // oracle + two backends
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! while treaties hold, a site commits without coordination. This suite
 //! measures exactly that path on the real clock — committed operations per
 //! wall-clock second through [`SiteRuntime::submit_batch`] — sweeping the
-//! batch size over every execution mode plus the threaded cluster and the
-//! loopback-TCP cluster (one wire frame and one socket round trip per
-//! batch). The
-//! resulting [`Figure`] (id `bench`) is what `reproduce --json` serializes
+//! batch size over every execution mode plus the loopback-TCP cluster (one
+//! wire frame and one socket round trip per batch). The resulting
+//! [`Figure`] (id `bench`) is what `reproduce --json` serializes
 //! and what CI's `bench-smoke` job gates against
 //! `crates/bench/baseline.json`: a cell regressing to below half its
 //! baseline value fails the build.
@@ -21,7 +20,7 @@
 use std::time::Instant;
 
 use homeo_baselines::{LocalRuntime, TwoPcRuntime};
-use homeo_cluster::{ClusterConfig, ClusterRuntime, ProgramBundle};
+use homeo_cluster::{ClusterConfig, ProgramBundle, TcpCluster};
 use homeo_lang::ids::ObjId;
 use homeo_lang::{programs, Database};
 use homeo_protocol::{Loc, OptimizerConfig, ReplicatedMode};
@@ -37,14 +36,7 @@ pub const BATCH_SIZES: [usize; 4] = [1, 8, 64, 256];
 /// The swept execution modes, in column order. `cluster-tcp` pays a real
 /// loopback-socket round trip per poll, so its cells measure the wire
 /// (frame encode + syscalls + kernel buffering), not just the engine.
-pub const MODES: [&str; 6] = [
-    "homeo",
-    "opt",
-    "2pc",
-    "local",
-    "cluster-threaded",
-    "cluster-tcp",
-];
+pub const MODES: [&str; 5] = ["homeo", "opt", "2pc", "local", "cluster-tcp"];
 
 /// Sites under load in every cell.
 const SITES: usize = 2;
@@ -86,11 +78,7 @@ fn build_mode(mode: &str) -> Box<dyn SiteRuntime> {
         ),
         "2pc" => Box::new(TwoPcRuntime::new(SITES)),
         "local" => Box::new(LocalRuntime::new(SITES)),
-        "cluster-threaded" => Box::new(ClusterRuntime::threaded(
-            SITES,
-            ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero()),
-        )),
-        "cluster-tcp" => Box::new(ClusterRuntime::tcp(
+        "cluster-tcp" => Box::new(TcpCluster::new(
             SITES,
             ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero()),
         )),
@@ -110,12 +98,11 @@ fn register_pool(runtime: &mut dyn SiteRuntime) {
 }
 
 /// General-path columns: registered `L++` programs executed as
-/// [`SiteOp::Transaction`] batches on the threaded cluster and over
-/// loopback TCP. Where the [`MODES`] cells measure the replicated-counter
-/// fast path, these measure the full pipeline the programs ride — guard
-/// selection against the joint symbolic table, program execution, treaty
-/// check — per committed operation.
-pub const GENERAL_MODES: [&str; 2] = ["general-threaded", "general-tcp"];
+/// [`SiteOp::Transaction`] batches over loopback TCP. Where the [`MODES`]
+/// cells measure the replicated-counter fast path, these measure the full
+/// pipeline the programs ride — guard selection against the joint symbolic
+/// table, program execution, treaty check — per committed operation.
+pub const GENERAL_MODES: [&str; 1] = ["general-tcp"];
 
 /// Programs in the general-path pool. The joint symbolic table is the
 /// cross product of the per-program tables (`2^K` rows for `K` two-branch
@@ -152,8 +139,7 @@ fn general_bundle() -> ProgramBundle {
 fn measure_general_cell(mode: &str, batch: usize, min_secs: f64) -> f64 {
     let config = || ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero());
     let mut runtime = match mode {
-        "general-threaded" => ClusterRuntime::threaded(SITES, config()),
-        "general-tcp" => ClusterRuntime::tcp(SITES, config()),
+        "general-tcp" => TcpCluster::new(SITES, config()),
         other => panic!("unknown general bench mode `{other}`"),
     };
     assert_eq!(
@@ -169,7 +155,7 @@ fn measure_general_cell(mode: &str, batch: usize, min_secs: f64) -> f64 {
         .collect();
     let mut rng = DetRng::seed_from(0x6E47 ^ batch as u64);
     let mut ops = Vec::with_capacity(batch);
-    let mut issue = |runtime: &mut ClusterRuntime, site: usize, rng: &mut DetRng| -> u64 {
+    let mut issue = |runtime: &mut TcpCluster, site: usize, rng: &mut DetRng| -> u64 {
         let local = &by_site[site];
         ops.clear();
         for _ in 0..batch {

@@ -1,26 +1,22 @@
-//! The redesigned single client surface of the cluster.
+//! The one client surface of the cluster.
 //!
-//! Historically each backend grew its own client vocabulary: the threaded
-//! cluster handed out [`crate::ClusterClient`] handles, the TCP backend a
-//! [`crate::TcpClient`] per connection, and [`crate::ClusterRuntime`]
-//! duplicated the cluster-wide conveniences as inherent methods. The
-//! [`ClientApi`] trait collapses those into one surface:
+//! [`ClientApi`] is what a benchmark, scenario or test holds to drive a
+//! cluster without caring which backend runs it:
 //!
 //! * the per-operation data plane (`submit_batch` / `poll` / `execute` /
 //!   `value_at`) comes from the [`SiteRuntime`] supertrait every backend
 //!   already implements;
 //! * the control plane — counter registration, general `L++` program
 //!   registration, full synchronization, statistics and telemetry — is
-//!   defined here, once, and implemented by [`crate::ThreadedCluster`],
-//!   [`crate::SimCluster`], [`crate::TcpCluster`] and the
-//!   [`crate::ClusterRuntime`] wrapper.
+//!   defined here, once, and implemented by [`crate::SimCluster`] and
+//!   [`crate::TcpCluster`].
 //!
-//! Code that previously matched on the backend (or monomorphized per
-//! cluster type) can now take `&mut dyn ClientApi` and run unchanged over
-//! threads, the deterministic fault injector, or real sockets:
+//! Callers that know their backend hold the concrete type; callers that
+//! loop over both take `&mut dyn ClientApi` (or a `Box<dyn ClientApi>`),
+//! which upcasts to `&mut dyn SiteRuntime` for `homeo_runtime::drive`:
 //!
 //! ```
-//! use homeo_cluster::{ClientApi, ClusterConfig, ClusterRuntime};
+//! use homeo_cluster::{ClientApi, ClusterConfig, SimCluster, SimNetConfig};
 //! use homeo_protocol::ReplicatedMode;
 //! use homeo_runtime::SiteOp;
 //! use homeo_lang::ids::ObjId;
@@ -31,23 +27,22 @@
 //!     api.value_at(0, obj)
 //! }
 //!
-//! let mut cluster = ClusterRuntime::threaded(2, ClusterConfig::new(ReplicatedMode::EvenSplit));
+//! let config = ClusterConfig::new(ReplicatedMode::EvenSplit);
+//! let mut cluster = SimCluster::new(2, config, SimNetConfig::reliable(2, 100));
 //! let obj = ObjId::new("stock[0]");
 //! cluster.register_counter(obj.clone(), 10, 1);
 //! assert_eq!(drain(&mut cluster, &obj), 9);
 //! ```
 //!
-//! The per-connection handles ([`crate::ClusterClient`],
-//! [`crate::TcpClient`]) remain available as the low-level wire surface —
-//! they are what a remote process that does not own the cluster object
-//! uses — but their cluster-wide conveniences are superseded by this
-//! trait.
+//! The per-connection [`crate::TcpClient`] remains available as the
+//! low-level wire surface: it is what a remote process that does not own
+//! the cluster object uses.
 
 use homeo_lang::ids::ObjId;
 use homeo_protocol::{ProgramBundle, ReplicatedStats};
 use homeo_runtime::SiteRuntime;
 
-use crate::{ClusterRuntime, SimCluster, TcpCluster, ThreadedCluster};
+use crate::{SimCluster, TcpCluster};
 
 /// The unified cluster-wide client surface.
 ///
@@ -80,24 +75,6 @@ pub trait ClientApi: SiteRuntime {
     /// live node serves for metrics requests), in site order. A site that
     /// is currently down renders as an empty string.
     fn metrics_text(&self) -> Vec<String>;
-}
-
-impl ClientApi for ThreadedCluster {
-    fn register_counter(&mut self, obj: ObjId, initial: i64, lower_bound: i64) -> u64 {
-        self.register(obj, initial, lower_bound)
-    }
-
-    fn register_program(&mut self, bundle: &ProgramBundle) -> u64 {
-        ThreadedCluster::register_program(self, bundle)
-    }
-
-    fn stats(&self) -> ReplicatedStats {
-        ThreadedCluster::stats(self)
-    }
-
-    fn metrics_text(&self) -> Vec<String> {
-        self.metrics()
-    }
 }
 
 impl ClientApi for SimCluster {
@@ -139,24 +116,6 @@ impl ClientApi for TcpCluster {
     }
 }
 
-impl ClientApi for ClusterRuntime {
-    fn register_counter(&mut self, obj: ObjId, initial: i64, lower_bound: i64) -> u64 {
-        self.register(obj, initial, lower_bound)
-    }
-
-    fn register_program(&mut self, bundle: &ProgramBundle) -> u64 {
-        ClusterRuntime::register_program(self, bundle)
-    }
-
-    fn stats(&self) -> ReplicatedStats {
-        ClusterRuntime::stats(self)
-    }
-
-    fn metrics_text(&self) -> Vec<String> {
-        ClusterRuntime::metrics_text(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,16 +130,12 @@ mod tests {
             || ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero());
         vec![
             (
-                "threaded",
-                Box::new(ThreadedCluster::new(sites, config())) as Box<dyn ClientApi>,
-            ),
-            (
                 "sim",
                 Box::new(SimCluster::new(
                     sites,
                     config(),
                     SimNetConfig::reliable(sites, 100),
-                )),
+                )) as Box<dyn ClientApi>,
             ),
             ("tcp", Box::new(TcpCluster::new(sites, config()))),
         ]

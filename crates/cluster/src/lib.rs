@@ -1,41 +1,39 @@
 //! # homeo-cluster
 //!
-//! The threaded, message-passing cluster subsystem: each site of the
+//! The message-passing cluster subsystem: each site of the
 //! replicated-counter protocol becomes an isolated worker that owns its
-//! engine-backed shard and communicates with its peers **only** through a
-//! [`Transport`] carrying length-prefixed serialized [`Message`] frames —
-//! treaty negotiation, delta exchange, synchronization rounds and client
-//! operations all go over the wire.
+//! engine-backed shard and communicates with its peers **only** through
+//! length-prefixed serialized [`Message`] frames — treaty negotiation,
+//! delta exchange, synchronization rounds and client operations all go
+//! over the wire.
 //!
 //! The paper's central claim — sites execute without coordination while
 //! treaties hold — was previously reproduced only under a single-threaded
 //! loop over a virtual clock. This crate exercises it under the conditions
-//! the claim is actually about:
+//! the claim is actually about, with two backends driving the same
+//! per-site state machine ([`worker::SiteWorker`]):
 //!
-//! * [`ThreadedCluster`] — one OS thread per site over
-//!   [`ChannelTransport`] (std `mpsc`): real concurrency, real channels,
-//!   wall-clock throughput ([`threaded_load`]).
-//! * [`SimCluster`] — the same per-site state machines
-//!   ([`worker::SiteWorker`]) pumped deterministically over a
+//! * [`SimCluster`] — the workers pumped deterministically over a
 //!   [`sim::SimTransport`] fault injector: RTT-matrix delays, seeded
 //!   jitter and reordering, drops surfaced as retransmission delay,
 //!   symmetric partitions, and site kill/restart that reopens the engine
 //!   from its WAL frame.
-//! * [`TcpCluster`] — the same state machines over **real sockets**: one
-//!   nonblocking epoll reactor per site (the `reactor` module) multiplexes
-//!   the listener, every client connection and every peer link, with
-//!   partial-frame reassembly, vectored-write flushes,
-//!   reconnect-with-backoff, and the `homeostasisd` binary that runs sites
-//!   as separate OS processes ([`tcp::SiteNode`], with [`tcp_load`] as
-//!   the self-verifying, pipelining load client).
+//! * [`TcpCluster`] — the workers over **real sockets** with real
+//!   concurrency: one nonblocking epoll reactor thread per site (the
+//!   `reactor` module) multiplexes the listener, every client connection
+//!   and every peer link, with partial-frame reassembly, vectored-write
+//!   flushes, reconnect-with-backoff, and the `homeostasisd` binary that
+//!   runs sites as separate OS processes ([`tcp::SiteNode`], with
+//!   [`tcp_load`] as the self-verifying, pipelining load client).
 //!
-//! [`ClusterRuntime`] wraps either backend behind
-//! [`homeo_runtime::SiteRuntime`], so `drive()`, every workload and the
-//! cross-protocol equivalence suites run unchanged on top of the cluster.
+//! Both implement [`homeo_runtime::SiteRuntime`] and the cluster-wide
+//! [`ClientApi`], so `drive()`, every workload and the cross-protocol
+//! equivalence suites run unchanged on top of either; callers that loop
+//! over both hold a `Box<dyn ClientApi>`.
 //!
 //! ## Elastic membership
 //!
-//! Membership is dynamic on every backend: `join()` grows the cluster by
+//! Membership is dynamic on both backends: `join()` grows the cluster by
 //! one site and `leave(site)` retires a member, both while load is in
 //! flight. The cluster-wide membership is an epoch-stamped
 //! [`homeo_protocol::Roster`]; a membership change runs as
@@ -47,7 +45,7 @@
 //! fenced (`stale_rejects`), how WAL recovery lands in the current epoch,
 //! and how program execution pins its registration-era membership — are
 //! documented on the [`worker`] module, which implements them once for
-//! all three backends.
+//! both backends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,186 +56,25 @@ pub mod msg;
 mod reactor;
 pub mod sim;
 pub mod tcp;
-pub mod threaded;
-pub mod transport;
 pub mod worker;
-
-use homeo_lang::ids::ObjId;
-use homeo_protocol::ReplicatedStats;
-use homeo_runtime::{OpOutcome, SiteOp, SiteRuntime};
-use homeo_store::Engine;
 
 pub use api::ClientApi;
 pub use config::ClusterSpec;
 pub use homeo_protocol::{ClusterConfig, ProgramBundle, ProgramSet};
-pub use msg::{CodecError, CounterMeta, FrameAssembler, Message, SyncKind, MAX_FRAME_LEN};
+pub use msg::{CodecError, CounterMeta, FrameAssembler, Message, SyncKind, CLIENT, MAX_FRAME_LEN};
 pub use reactor::DEFAULT_CLIENT_QUEUE_CAP;
 pub use sim::{SimCluster, SimMetrics, SimNetConfig, SimTransport};
 pub use tcp::{
     free_loopback_addrs, spawn_cluster, tcp_load, tcp_load_opts, DaemonFleet, LoadOptions,
     NodeOptions, SiteNode, TcpClient, TcpCluster, TcpLoadReport,
 };
-pub use threaded::{threaded_load, ClusterClient, Control, LoadReport, ThreadedCluster};
-pub use transport::{ChannelTransport, Transport, CLIENT};
-
-/// A cluster behind the shared [`SiteRuntime`] surface, backed by either
-/// real worker threads ([`ThreadedCluster`]) or the deterministic fault
-/// injector ([`SimCluster`]).
-pub enum ClusterRuntime {
-    /// One OS thread per site over channels.
-    Threaded(Box<ThreadedCluster>),
-    /// Virtual-clock scheduling with fault injection.
-    Sim(Box<SimCluster>),
-    /// One TCP endpoint per site over loopback sockets (the in-process form
-    /// of the deployable `homeostasisd` path).
-    Tcp(Box<TcpCluster>),
-}
-
-impl ClusterRuntime {
-    /// A threaded cluster over fresh engines.
-    pub fn threaded(sites: usize, config: ClusterConfig) -> Self {
-        ClusterRuntime::Threaded(Box::new(ThreadedCluster::new(sites, config)))
-    }
-
-    /// A threaded cluster over pre-populated engines.
-    pub fn threaded_from_engines(engines: Vec<Engine>, config: ClusterConfig) -> Self {
-        ClusterRuntime::Threaded(Box::new(ThreadedCluster::from_engines(engines, config)))
-    }
-
-    /// A simulated cluster over fresh engines.
-    pub fn sim(sites: usize, config: ClusterConfig, net: SimNetConfig) -> Self {
-        ClusterRuntime::Sim(Box::new(SimCluster::new(sites, config, net)))
-    }
-
-    /// A simulated cluster over pre-populated engines.
-    pub fn sim_from_engines(
-        engines: Vec<Engine>,
-        config: ClusterConfig,
-        net: SimNetConfig,
-    ) -> Self {
-        ClusterRuntime::Sim(Box::new(SimCluster::from_engines(engines, config, net)))
-    }
-
-    /// A TCP cluster over fresh engines (ephemeral loopback ports).
-    pub fn tcp(sites: usize, config: ClusterConfig) -> Self {
-        ClusterRuntime::Tcp(Box::new(TcpCluster::new(sites, config)))
-    }
-
-    /// A TCP cluster over pre-populated engines.
-    pub fn tcp_from_engines(engines: Vec<Engine>, config: ClusterConfig) -> Self {
-        ClusterRuntime::Tcp(Box::new(TcpCluster::from_engines(engines, config)))
-    }
-
-    /// Registers a counter cluster-wide. Returns the solver time in
-    /// microseconds.
-    pub fn register(&mut self, obj: ObjId, initial: i64, lower_bound: i64) -> u64 {
-        match self {
-            ClusterRuntime::Threaded(c) => c.register(obj, initial, lower_bound),
-            ClusterRuntime::Sim(c) => c.register(obj, initial, lower_bound),
-            ClusterRuntime::Tcp(c) => c.register(obj, initial, lower_bound),
-        }
-    }
-
-    /// Registers a general-transaction program bundle cluster-wide: every
-    /// site parses the source text, runs the same analysis, and negotiates
-    /// its own (deterministic, identical) treaty table, after which
-    /// [`SiteOp::Transaction`] operations execute on any site. Returns the
-    /// number of registered transactions (0 if the bundle was rejected).
-    pub fn register_program(&mut self, bundle: &ProgramBundle) -> u64 {
-        match self {
-            ClusterRuntime::Threaded(c) => c.register_program(bundle),
-            ClusterRuntime::Sim(c) => c.register_program(bundle),
-            ClusterRuntime::Tcp(c) => c.register_program(bundle),
-        }
-    }
-
-    /// Aggregate statistics across every site.
-    pub fn stats(&self) -> ReplicatedStats {
-        match self {
-            ClusterRuntime::Threaded(c) => c.stats(),
-            ClusterRuntime::Sim(c) => c.stats(),
-            ClusterRuntime::Tcp(c) => c.stats(),
-        }
-    }
-
-    /// Every site's rendered telemetry dump (the Prometheus-style text a
-    /// live node serves for [`Message::MetricsRequest`]), in site order.
-    /// A killed TCP site renders as an empty string.
-    pub fn metrics_text(&self) -> Vec<String> {
-        match self {
-            ClusterRuntime::Threaded(c) => c.metrics(),
-            ClusterRuntime::Sim(c) => c.metrics_text(),
-            ClusterRuntime::Tcp(c) => c
-                .metrics()
-                .into_iter()
-                .map(Option::unwrap_or_default)
-                .collect(),
-        }
-    }
-}
-
-impl SiteRuntime for ClusterRuntime {
-    fn sites(&self) -> usize {
-        match self {
-            ClusterRuntime::Threaded(c) => c.sites(),
-            ClusterRuntime::Sim(c) => c.sites(),
-            ClusterRuntime::Tcp(c) => c.sites(),
-        }
-    }
-
-    fn engine(&self, site: usize) -> &Engine {
-        match self {
-            ClusterRuntime::Threaded(c) => c.engine(site),
-            ClusterRuntime::Sim(c) => c.engine(site),
-            ClusterRuntime::Tcp(c) => c.engine(site),
-        }
-    }
-
-    fn submit(&mut self, site: usize, op: SiteOp) {
-        match self {
-            ClusterRuntime::Threaded(c) => c.submit(site, op),
-            ClusterRuntime::Sim(c) => c.submit(site, op),
-            ClusterRuntime::Tcp(c) => c.submit(site, op),
-        }
-    }
-
-    fn poll(&mut self, site: usize) -> Vec<OpOutcome> {
-        match self {
-            ClusterRuntime::Threaded(c) => c.poll(site),
-            ClusterRuntime::Sim(c) => c.poll(site),
-            ClusterRuntime::Tcp(c) => c.poll(site),
-        }
-    }
-
-    fn submit_batch(&mut self, site: usize, ops: &[SiteOp]) -> Vec<OpOutcome> {
-        match self {
-            ClusterRuntime::Threaded(c) => c.submit_batch(site, ops),
-            ClusterRuntime::Sim(c) => c.submit_batch(site, ops),
-            ClusterRuntime::Tcp(c) => c.submit_batch(site, ops),
-        }
-    }
-
-    fn synchronize(&mut self, site: usize) -> u64 {
-        match self {
-            ClusterRuntime::Threaded(c) => c.synchronize(site),
-            ClusterRuntime::Sim(c) => c.synchronize(site),
-            ClusterRuntime::Tcp(c) => c.synchronize(site),
-        }
-    }
-
-    fn ensure_registered(&mut self, obj: &ObjId, initial: i64, lower_bound: i64) {
-        match self {
-            ClusterRuntime::Threaded(c) => c.ensure_registered(obj, initial, lower_bound),
-            ClusterRuntime::Sim(c) => c.ensure_registered(obj, initial, lower_bound),
-            ClusterRuntime::Tcp(c) => c.ensure_registered(obj, initial, lower_bound),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homeo_lang::ids::ObjId;
     use homeo_protocol::ReplicatedMode;
+    use homeo_runtime::{SiteOp, SiteRuntime};
     use homeo_sim::clock::millis;
     use homeo_sim::Timer;
     use homeo_sim::{ClientOutcome, ClosedLoopConfig, CostComponents, DetRng};
@@ -260,14 +97,17 @@ mod tests {
         };
         let cluster_config =
             ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero());
-        let backends: Vec<ClusterRuntime> = vec![
-            ClusterRuntime::threaded(2, cluster_config.clone()),
-            ClusterRuntime::sim(2, cluster_config.clone(), SimNetConfig::reliable(2, 100)),
-            ClusterRuntime::tcp(2, cluster_config),
+        let backends: Vec<Box<dyn ClientApi>> = vec![
+            Box::new(SimCluster::new(
+                2,
+                cluster_config.clone(),
+                SimNetConfig::reliable(2, 100),
+            )),
+            Box::new(TcpCluster::new(2, cluster_config)),
         ];
         for mut runtime in backends {
             for i in 0..40 {
-                runtime.register(stock(i), 100, 1);
+                runtime.register_counter(stock(i), 100, 1);
             }
             let mut workload = |site: usize, rt: &mut dyn SiteRuntime, rng: &mut DetRng| {
                 let out = rt.execute(
@@ -288,7 +128,7 @@ mod tests {
                     },
                 }
             };
-            let metrics = homeo_runtime::drive(&config, &mut runtime, &mut workload);
+            let metrics = homeo_runtime::drive(&config, runtime.as_mut(), &mut workload);
             assert!(metrics.counters.committed > 50);
             assert!(runtime.stats().local_commits > 0);
             assert!(runtime.engine(0).wal_len() > 0);
@@ -297,7 +137,7 @@ mod tests {
 
     #[test]
     fn execute_contract_holds_on_the_cluster() {
-        let mut runtime = ClusterRuntime::threaded(
+        let mut runtime = TcpCluster::new(
             2,
             ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero()),
         );

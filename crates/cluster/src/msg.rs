@@ -1,10 +1,10 @@
 //! The cluster wire protocol: [`Message`] and its length-prefixed binary
 //! frame codec.
 //!
-//! Sites exchange nothing but these frames (through a
-//! [`Transport`](crate::Transport)): client operations, treaty negotiation,
-//! delta exchange, synchronization rounds and crash recovery all travel as
-//! encoded [`Message`]s. The codec mirrors the WAL's on-disk idiom
+//! Sites exchange nothing but these frames (over the simulator's
+//! [`SimTransport`](crate::SimTransport) or a TCP stream): client
+//! operations, treaty negotiation, delta exchange, synchronization rounds
+//! and crash recovery all travel as encoded [`Message`]s. The codec mirrors the WAL's on-disk idiom
 //! (`homeo_store::Wal::encode`): big-endian fixed-width integers,
 //! `u32`-length-prefixed strings, one tag byte per variant, and the whole
 //! message wrapped in a `u32` length prefix so a byte stream can be framed
@@ -472,8 +472,14 @@ pub enum Message {
     },
 }
 
+/// Sender id used for frames originating from the client attachment (the
+/// coordinating thread or a load-generator client) rather than a peer site.
+/// Client frames are exempt from fault injection: the client "connection" is
+/// local to the site, only site-to-site traffic crosses the network.
+pub const CLIENT: usize = usize::MAX;
+
 /// The [`Message::Hello`] peer id a client attachment announces (sites use
-/// their index). Mirrors [`crate::transport::CLIENT`] on the wire.
+/// their index). Mirrors [`CLIENT`] on the wire.
 pub const CLIENT_PEER: u64 = u64::MAX;
 
 impl Message {

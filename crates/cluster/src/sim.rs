@@ -1,6 +1,6 @@
-//! The deterministic backend: the same [`SiteWorker`]s as the threaded
-//! cluster, pumped by a virtual-clock scheduler whose network is a seeded
-//! fault injector.
+//! The deterministic backend: the same [`SiteWorker`]s as the TCP cluster,
+//! pumped by a virtual-clock scheduler whose network is a seeded fault
+//! injector.
 //!
 //! [`SimTransport`] models a reliable transport (TCP-like) over a lossy
 //! network parameterised by an [`RttMatrix`]:
@@ -39,8 +39,7 @@ use homeo_sim::clock::SimTime;
 use homeo_sim::{DetRng, RttMatrix};
 use homeo_store::Engine;
 
-use crate::msg::{CounterMeta, Message};
-use crate::transport::{Transport, CLIENT};
+use crate::msg::{CounterMeta, Message, CLIENT};
 use crate::worker::SiteWorker;
 use crate::ClusterConfig;
 
@@ -216,9 +215,10 @@ impl SimTransport {
         }
         delay
     }
-}
 
-impl Transport for SimTransport {
+    /// Ships `frame` from site `from` (or [`CLIENT`]) to site `to`, due
+    /// after the fault model's delay; [`SimTransport::next_delivery`] holds
+    /// it if the pair is partitioned or the destination is down by then.
     fn send(&mut self, from: usize, to: usize, frame: Vec<u8>) {
         if to >= self.down.len() {
             // Client-addressed acks (e.g. `ProgramAck`): the sim's client

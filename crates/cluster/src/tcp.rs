@@ -10,7 +10,7 @@
 //! * [`SiteNode`] — one running site: a **single nonblocking epoll event
 //!   loop** (the reactor, `crate::reactor`) multiplexing the listener,
 //!   every client connection and every peer link, pumping the same
-//!   [`SiteWorker`] state machine the threaded and simulated backends run.
+//!   [`SiteWorker`] state machine the simulated backend runs.
 //!   Reads feed per-connection [`FrameAssembler`]s; writes queue whole
 //!   frames and flush with vectored `writev`; client-protocol frames
 //!   (`PollRequest`, `SyncAllRequest`, `StatsRequest`) are answered by the
@@ -1790,10 +1790,12 @@ mod tests {
             assert!(out.committed);
             if out.synchronized {
                 synced += 1;
+                assert_eq!(out.comm_rounds, 2);
             }
             serial = if serial > 1 { serial - 1 } else { refill - 1 };
         }
         assert!(synced > 0, "draining 200 over 19 headroom must synchronize");
+        assert!(cluster.stats().synchronizations >= synced);
         cluster.synchronize(0);
         assert_eq!(cluster.value_at(0, &stock(0)), serial);
         assert_eq!(cluster.value_at(1, &stock(0)), serial);
@@ -1810,6 +1812,7 @@ mod tests {
         let site = cluster.join();
         assert_eq!(site, 2);
         assert_eq!(cluster.roster().members, vec![0, 1, 2]);
+        assert_eq!(cluster.roster().epoch, 1);
         for i in 0..12 {
             let out = cluster.execute(
                 i % 3,
@@ -1870,6 +1873,29 @@ mod tests {
         for member in [0usize, 2] {
             assert_eq!(cluster.value_at(member, &stock(0)), 90 - 6 - 1);
         }
+    }
+
+    #[test]
+    fn join_then_leave_returns_to_the_original_treaty_shape() {
+        let mut cluster = cluster(2);
+        cluster.register(stock(0), 500, 0);
+        let joined = cluster.join();
+        cluster.leave(joined);
+        assert_eq!(cluster.roster().members, vec![0, 1]);
+        assert_eq!(cluster.roster().epoch, 2);
+        for i in 0..20 {
+            let out = cluster.execute(
+                i % 2,
+                SiteOp::Order {
+                    obj: stock(0),
+                    amount: 1,
+                    refill_to: None,
+                },
+            );
+            assert!(out.committed, "order {i} after the round trip");
+        }
+        cluster.synchronize(0);
+        assert_eq!(cluster.value_at(0, &stock(0)), 480);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! in-flight synchronization rounds. It is a *pure message-passing state
 //! machine*: every entry point takes an [`Outbox`] and pushes the frames the
 //! site wants delivered; it never blocks and never touches another site's
-//! state. The threaded backend pumps one worker per OS thread off an `mpsc`
-//! receiver; the simulation backend pumps the same workers off a virtual
+//! state. The TCP backend pumps one worker per site off an epoll reactor
+//! thread; the simulation backend pumps the same workers off a virtual
 //! clock — identical protocol logic under both schedulers.
 //!
 //! # The synchronization protocol

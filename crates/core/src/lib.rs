@@ -63,8 +63,9 @@ pub use homeo_runtime as runtime;
 /// Baseline coordination protocols (2PC, local, demarcation/OPT).
 pub use homeo_baselines as baselines;
 
-/// The threaded, message-passing cluster subsystem (worker threads behind
-/// a `Transport` of serialized frames; deterministic fault injection).
+/// The message-passing cluster subsystem: per-site workers exchanging
+/// serialized frames over a deterministic fault-injecting simulator or
+/// real TCP sockets.
 pub use homeo_cluster as cluster;
 
 /// The evaluation workloads (microbenchmark, TPC-C subset, Table 1).

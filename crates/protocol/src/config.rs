@@ -8,8 +8,7 @@
 //! negotiation mode, solver timer, workload hints, synchronization
 //! tuning — and every layer accepts it:
 //!
-//! * `homeo_cluster::{ThreadedCluster, SimCluster, TcpCluster,
-//!   ClusterRuntime}` take it at construction;
+//! * `homeo_cluster::{SimCluster, TcpCluster}` take it at construction;
 //! * `homeo_runtime::ReplicatedRuntime::from_config` builds the
 //!   single-process runtime from the same value;
 //! * `homeo_cluster::NodeOptions::new` seeds a TCP daemon node from it.
@@ -33,8 +32,8 @@ use crate::replicated::{ReplicatedMode, WorkloadHints};
 /// mode, the solver timer, the optimizer's workload hints and the
 /// synchronization-round tuning.
 ///
-/// This is the single builder surface consumed by every backend (threaded,
-/// simulated, TCP, and the single-process `ReplicatedRuntime`).
+/// This is the single builder surface consumed by every backend (simulated,
+/// TCP, and the single-process `ReplicatedRuntime`).
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// How local treaties are chosen at each negotiation.

@@ -1,5 +1,5 @@
 //! Offline in-tree binding for the Linux readiness syscalls `std::net` does
-//! not expose — the shim-crate counterpart of `serde`/`criterion` under
+//! not expose — the shim-crate counterpart of `serde` under
 //! `crates/shims/`, except that here the thing being replaced is not a
 //! crates.io dependency but the `libc`/`mio` layer a reactor would normally
 //! sit on. The workspace is fully offline, so the handful of syscalls the

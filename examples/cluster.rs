@@ -1,12 +1,12 @@
-//! The cluster subsystem in thirty lines: worker threads behind the
-//! `SiteRuntime` surface, then the same protocol under a deterministic
-//! fault injector with a partition and a site crash.
+//! The cluster subsystem in thirty lines: sites as loopback TCP endpoints
+//! behind the `SiteRuntime` surface, then the same protocol under a
+//! deterministic fault injector with a partition and a site crash.
 //!
 //! ```sh
 //! cargo run --release --example cluster
 //! ```
 
-use homeostasis::cluster::{ClusterConfig, ClusterRuntime, SimCluster, SimNetConfig};
+use homeostasis::cluster::{ClusterConfig, SimCluster, SimNetConfig, TcpCluster};
 use homeostasis::lang::ids::ObjId;
 use homeostasis::protocol::{OptimizerConfig, ReplicatedMode};
 use homeostasis::runtime::{SiteOp, SiteRuntime};
@@ -31,8 +31,8 @@ fn main() {
     .with_timer(Timer::fixed_zero());
     let stock = ObjId::new("stock[0]");
 
-    // --- Real threads: one OS worker per site over mpsc channels. -------
-    let mut cluster = ClusterRuntime::threaded(3, config.clone());
+    // --- Real sockets: one epoll reactor thread per site over loopback. ---
+    let mut cluster = TcpCluster::new(3, config.clone());
     cluster.register(stock.clone(), 100, 1);
     for i in 0..90 {
         let out = cluster.execute(i % 3, order(&stock));
@@ -41,7 +41,7 @@ fn main() {
     cluster.synchronize(0);
     let stats = cluster.stats();
     println!(
-        "threaded: 90 orders over 3 worker threads -> value {} at every site \
+        "tcp: 90 orders over 3 loopback sites -> value {} at every site \
          ({} local commits, {} synchronizations)",
         cluster.value_at(0, &stock),
         stats.local_commits,

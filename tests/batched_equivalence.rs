@@ -12,14 +12,14 @@
 //!   differs but its *recovered state* must be byte-identical;
 //! * the 2PC and local baselines — where batching only skips inbox
 //!   round-trips, so even the WAL frame must be byte-identical;
-//! * `ClusterRuntime` on both backends — the threaded cluster (real worker
-//!   threads over channels) and the deterministic simulation under a seeded
-//!   fault schedule (Table 1 RTTs, jitter, reordering, retransmitted
-//!   drops) — where a batch travels as one `Submit` frame; the protocol
-//!   traffic, engine transactions and WAL frames must come out identical.
+//! * both cluster backends — `TcpCluster` (one reactor thread per site over
+//!   loopback sockets) and `SimCluster` under a seeded fault schedule
+//!   (Table 1 RTTs, jitter, reordering, retransmitted drops) — where a
+//!   batch travels as one `Submit` frame; the protocol traffic, engine
+//!   transactions and WAL frames must come out identical.
 
 use homeostasis::baselines::{LocalRuntime, TwoPcRuntime};
-use homeostasis::cluster::{ClusterConfig, ClusterRuntime, SimNetConfig};
+use homeostasis::cluster::{ClusterConfig, SimCluster, SimNetConfig, TcpCluster};
 use homeostasis::lang::ids::ObjId;
 use homeostasis::protocol::{OptimizerConfig, ReplicatedMode};
 use homeostasis::runtime::{OpOutcome, ReplicatedRuntime, SiteOp, SiteRuntime};
@@ -90,11 +90,11 @@ fn build(label: &str) -> Box<dyn SiteRuntime> {
             }
             return Box::new(l);
         }
-        "cluster-threaded" => Box::new(ClusterRuntime::threaded(
+        "cluster-tcp" => Box::new(TcpCluster::new(
             SITES,
             ClusterConfig::new(homeo_mode).with_timer(Timer::fixed_zero()),
         )),
-        "cluster-sim-faulty" => Box::new(ClusterRuntime::sim(
+        "cluster-sim-faulty" => Box::new(SimCluster::new(
             SITES,
             ClusterConfig::new(homeo_mode).with_timer(Timer::fixed_zero()),
             SimNetConfig::faulty(RttMatrix::table1().truncated(SITES), 0xFA17),
@@ -115,7 +115,7 @@ fn labels() -> [&'static str; 6] {
         "opt",
         "2pc",
         "local",
-        "cluster-threaded",
+        "cluster-tcp",
         "cluster-sim-faulty",
     ]
 }
@@ -172,9 +172,6 @@ fn submit_batch_is_equivalent_to_one_at_a_time_on_every_runtime() {
         // Compare the logs while the client-driven stream is the only
         // traffic there has been: each polled operation ran to completion,
         // so both runs are quiescent and their per-site logs comparable.
-        // (The `synchronize` below folds every counter *concurrently* on
-        // the threaded backend, which interleaves the fold's install writes
-        // in thread-timing order — equivalent state, unordered log.)
         for site in 0..SITES {
             let serial_frame = serial.engine(site).wal_frame();
             let batched_frame = batched.engine(site).wal_frame();

@@ -3,7 +3,7 @@
 //!
 //! * seeded interleavings of `submit` / `poll` / `synchronize` across sites
 //!   with conservation of counter totals checked against the outcome
-//!   stream, on both the threaded and the simulated backend;
+//!   stream, on both the TCP and the simulated backend;
 //! * `SimTransport` determinism: the same seed produces byte-for-byte
 //!   identical metrics, values and WALs under jitter, reordering, drops,
 //!   partitions and a site crash;
@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use homeostasis::cluster::{ClusterConfig, ClusterRuntime, SimCluster, SimMetrics, SimNetConfig};
+use homeostasis::cluster::{ClusterConfig, SimCluster, SimMetrics, SimNetConfig, TcpCluster};
 use homeostasis::lang::ids::ObjId;
 use homeostasis::protocol::{OptimizerConfig, ReplicatedMode};
 use homeostasis::runtime::{SiteOp, SiteRuntime};
@@ -149,15 +149,15 @@ fn assert_conserved(runtime: &mut dyn SiteRuntime, net_delta: &[i64]) {
 }
 
 #[test]
-fn threaded_interleaved_stress_conserves_totals() {
-    let mut runtime = ClusterRuntime::threaded(SITES, homeo_config());
+fn tcp_interleaved_stress_conserves_totals() {
+    let mut runtime = TcpCluster::new(SITES, homeo_config());
     let net_delta = stress(&mut runtime, 0xBEEF, 600);
     assert_conserved(&mut runtime, &net_delta);
 }
 
 #[test]
 fn simulated_interleaved_stress_conserves_totals_under_faults() {
-    let mut runtime = ClusterRuntime::sim(
+    let mut runtime = SimCluster::new(
         SITES,
         homeo_config(),
         SimNetConfig::faulty(RttMatrix::table1().truncated(SITES), 0xD06),
@@ -167,20 +167,21 @@ fn simulated_interleaved_stress_conserves_totals_under_faults() {
 }
 
 #[test]
-fn threaded_and_simulated_backends_agree_on_final_state() {
-    // Same seeded interleaving, same protocol: the scheduler (real threads
-    // vs virtual clock with faults) must not change what commits.
-    let mut threaded = ClusterRuntime::threaded(SITES, homeo_config());
-    let threaded_delta = stress(&mut threaded, 0x5EED, 400);
-    assert_conserved(&mut threaded, &threaded_delta);
-    let mut sim = ClusterRuntime::sim(
+fn tcp_and_simulated_backends_agree_on_final_state() {
+    // Same seeded interleaving, same protocol: the scheduler (real sockets
+    // and reactor threads vs virtual clock with faults) must not change
+    // what commits.
+    let mut tcp = TcpCluster::new(SITES, homeo_config());
+    let tcp_delta = stress(&mut tcp, 0x5EED, 400);
+    assert_conserved(&mut tcp, &tcp_delta);
+    let mut sim = SimCluster::new(
         SITES,
         homeo_config(),
         SimNetConfig::faulty(RttMatrix::table1().truncated(SITES), 0xD06),
     );
     let sim_delta = stress(&mut sim, 0x5EED, 400);
     assert_conserved(&mut sim, &sim_delta);
-    assert_eq!(threaded_delta, sim_delta);
+    assert_eq!(tcp_delta, sim_delta);
 }
 
 /// The convergence acceptance run: a seeded `SimTransport` cluster with

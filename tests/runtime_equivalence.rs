@@ -14,7 +14,7 @@
 //!   guaranteed").
 
 use homeostasis::baselines::{LocalRuntime, TwoPcRuntime};
-use homeostasis::cluster::{ClusterConfig, ClusterRuntime, SimNetConfig};
+use homeostasis::cluster::{ClientApi, ClusterConfig, SimCluster, SimNetConfig, TcpCluster};
 use homeostasis::lang::ids::ObjId;
 use homeostasis::protocol::{OptimizerConfig, ReplicatedMode};
 use homeostasis::runtime::{ReplicatedRuntime, SiteOp, SiteRuntime};
@@ -74,12 +74,11 @@ fn synchronized_runtimes() -> Vec<(&'static str, Box<dyn SiteRuntime>)> {
     for i in 0..ITEMS {
         twopc.populate(item_obj(i), INITIAL);
     }
-    // The cluster subsystem behind the same surface: the homeostasis
-    // protocol as message-passing worker threads (channel transport, one
-    // OS thread per site), as the deterministic fault-injected
-    // simulation (jitter, reordering, retransmitted drops), and as real
-    // TCP endpoints over loopback sockets (every frame crosses the kernel).
-    let mut homeo_threaded = ClusterRuntime::threaded(
+    // The cluster subsystem behind the same surface: the protocol as the
+    // deterministic fault-injected simulation (jitter, reordering,
+    // retransmitted drops) and as real TCP endpoints over loopback sockets
+    // (one reactor thread per site, every frame crosses the kernel).
+    let mut homeo_tcp = TcpCluster::new(
         SITES,
         ClusterConfig::new(ReplicatedMode::Homeostasis {
             optimizer: Some(OptimizerConfig {
@@ -90,17 +89,17 @@ fn synchronized_runtimes() -> Vec<(&'static str, Box<dyn SiteRuntime>)> {
         })
         .with_timer(Timer::fixed_zero()),
     );
-    let mut opt_sim = ClusterRuntime::sim(
+    let mut opt_sim = SimCluster::new(
         SITES,
         ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero()),
         SimNetConfig::faulty(RttMatrix::table1().truncated(SITES), 0xC0DE),
     );
-    let mut opt_tcp = ClusterRuntime::tcp(
+    let mut opt_tcp = TcpCluster::new(
         SITES,
         ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero()),
     );
     for i in 0..ITEMS {
-        homeo_threaded.register(item_obj(i), INITIAL, 1);
+        homeo_tcp.register(item_obj(i), INITIAL, 1);
         opt_sim.register(item_obj(i), INITIAL, 1);
         opt_tcp.register(item_obj(i), INITIAL, 1);
     }
@@ -108,7 +107,7 @@ fn synchronized_runtimes() -> Vec<(&'static str, Box<dyn SiteRuntime>)> {
         ("homeo", Box::new(homeo)),
         ("opt", Box::new(opt)),
         ("2pc", Box::new(twopc)),
-        ("homeo-cluster-threaded", Box::new(homeo_threaded)),
+        ("homeo-cluster-tcp", Box::new(homeo_tcp)),
         ("opt-cluster-sim", Box::new(opt_sim)),
         ("opt-cluster-tcp", Box::new(opt_tcp)),
     ]
@@ -203,7 +202,7 @@ fn general_fixture() -> (
 #[test]
 fn general_transactions_agree_across_all_cluster_backends() {
     // The tentpole claim of the cluster-wide general path: a registered
-    // L++ program executes on the threaded, simulated and TCP backends
+    // L++ program executes on the simulated and TCP backends
     // with the same outcomes and the same committed state as the serial
     // `GeneralRuntime` oracle — byte-identical, per site, after the fold.
     use homeostasis::protocol::{HomeostasisCluster, ProgramBundle};
@@ -238,16 +237,16 @@ fn general_transactions_agree_across_all_cluster_backends() {
     let oracle_db = oracle.cluster().global_database();
 
     let config = || ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero());
-    let backends: Vec<(&str, ClusterRuntime)> = vec![
-        (
-            "cluster-threaded",
-            ClusterRuntime::threaded(SITES, config()),
-        ),
+    let backends: Vec<(&str, Box<dyn ClientApi>)> = vec![
         (
             "cluster-sim",
-            ClusterRuntime::sim(SITES, config(), SimNetConfig::reliable(SITES, 100)),
+            Box::new(SimCluster::new(
+                SITES,
+                config(),
+                SimNetConfig::reliable(SITES, 100),
+            )),
         ),
-        ("cluster-tcp", ClusterRuntime::tcp(SITES, config())),
+        ("cluster-tcp", Box::new(TcpCluster::new(SITES, config()))),
     ];
     for (label, mut cluster) in backends {
         assert_eq!(

@@ -6,9 +6,9 @@
 //! allowances byte-identical to a cold solve, so executions under the two
 //! tunings are indistinguishable — same per-operation outcomes, same
 //! synchronization points, same final values, same statistics. This suite
-//! pins that claim on the in-process [`ReplicatedRuntime`] and on all three
-//! cluster backends (worker threads over channels, the fault-injected
-//! deterministic simulation, real loopback TCP sockets).
+//! pins that claim on the in-process [`ReplicatedRuntime`] and on both
+//! cluster backends (the fault-injected deterministic simulation and real
+//! loopback TCP sockets).
 //!
 //! The demand-adaptive loop ([`SyncTuning::adaptive`]) deliberately changes
 //! *when* negotiations happen (proactive re-splits, drifted weights), so it
@@ -16,7 +16,7 @@
 //! correctness promise: after a final synchronization, every replica agrees
 //! with the serial decrement-or-refill oracle.
 
-use homeostasis::cluster::{ClusterConfig, ClusterRuntime, SimNetConfig};
+use homeostasis::cluster::{ClientApi, ClusterConfig, SimCluster, SimNetConfig, TcpCluster};
 use homeostasis::lang::ids::ObjId;
 use homeostasis::protocol::{OptimizerConfig, ReplicatedMode, SyncTuning};
 use homeostasis::runtime::{ReplicatedRuntime, SiteOp, SiteRuntime};
@@ -92,22 +92,21 @@ fn replicated(tuning: SyncTuning) -> ReplicatedRuntime {
     runtime
 }
 
-fn cluster(backend: &str, tuning: SyncTuning) -> ClusterRuntime {
+fn cluster(backend: &str, tuning: SyncTuning) -> Box<dyn ClientApi> {
     let config = ClusterConfig::new(mode())
         .with_timer(Timer::fixed_zero())
         .with_tuning(tuning);
-    let mut runtime = match backend {
-        "threaded" => ClusterRuntime::threaded(SITES, config),
-        "sim" => ClusterRuntime::sim(
+    let mut runtime: Box<dyn ClientApi> = match backend {
+        "sim" => Box::new(SimCluster::new(
             SITES,
             config,
             SimNetConfig::faulty(RttMatrix::table1().truncated(SITES), 0xC0DE),
-        ),
-        "tcp" => ClusterRuntime::tcp(SITES, config),
+        )),
+        "tcp" => Box::new(TcpCluster::new(SITES, config)),
         other => panic!("unknown backend {other}"),
     };
     for i in 0..ITEMS {
-        runtime.register(item_obj(i), INITIAL, 1);
+        runtime.register_counter(item_obj(i), INITIAL, 1);
     }
     runtime
 }
@@ -130,11 +129,11 @@ fn warm_start_is_byte_identical_to_cold_on_the_replicated_runtime() {
 #[test]
 fn warm_start_is_byte_identical_to_cold_on_every_cluster_backend() {
     let ops = op_sequence(0x51AD);
-    for backend in ["threaded", "sim", "tcp"] {
+    for backend in ["sim", "tcp"] {
         let mut cold = cluster(backend, SyncTuning::cold());
         let mut warm = cluster(backend, SyncTuning::default());
-        let cold_fp = fingerprint(&mut cold, &ops);
-        let warm_fp = fingerprint(&mut warm, &ops);
+        let cold_fp = fingerprint(cold.as_mut(), &ops);
+        let warm_fp = fingerprint(warm.as_mut(), &ops);
         assert_eq!(cold.stats(), warm.stats(), "{backend}: statistics diverged");
         assert!(
             cold.stats().synchronizations > 0,
@@ -163,12 +162,8 @@ fn the_adaptive_loop_preserves_serial_oracle_semantics() {
     let oracle = serial_oracle(&ops);
     let mut runtimes: Vec<(&str, Box<dyn SiteRuntime>)> = vec![
         ("replicated", Box::new(replicated(SyncTuning::adaptive()))),
-        (
-            "threaded",
-            Box::new(cluster("threaded", SyncTuning::adaptive())),
-        ),
-        ("sim", Box::new(cluster("sim", SyncTuning::adaptive()))),
-        ("tcp", Box::new(cluster("tcp", SyncTuning::adaptive()))),
+        ("sim", cluster("sim", SyncTuning::adaptive())),
+        ("tcp", cluster("tcp", SyncTuning::adaptive())),
     ];
     for (label, runtime) in &mut runtimes {
         for &(site, item) in &ops {

@@ -5,10 +5,10 @@
 //! cluster whose metrics endpoint is polled mid-run produces execution
 //! fingerprints byte-identical to an unobserved run, on every backend.
 
-use homeostasis::cluster::{ClusterConfig, ClusterRuntime, SimNetConfig};
+use homeostasis::cluster::{ClientApi, ClusterConfig, SimCluster, SimNetConfig, TcpCluster};
 use homeostasis::lang::ids::ObjId;
 use homeostasis::protocol::{OptimizerConfig, ReplicatedMode};
-use homeostasis::runtime::{SiteOp, SiteRuntime};
+use homeostasis::runtime::SiteOp;
 use homeostasis::sim::{DetRng, RttMatrix, Timer};
 use homeostasis::telemetry::Histogram;
 
@@ -138,20 +138,19 @@ fn mode() -> ReplicatedMode {
     }
 }
 
-fn cluster(backend: &str) -> ClusterRuntime {
+fn cluster(backend: &str) -> Box<dyn ClientApi> {
     let config = ClusterConfig::new(mode()).with_timer(Timer::fixed_zero());
-    let mut runtime = match backend {
-        "threaded" => ClusterRuntime::threaded(SITES, config),
-        "sim" => ClusterRuntime::sim(
+    let mut runtime: Box<dyn ClientApi> = match backend {
+        "sim" => Box::new(SimCluster::new(
             SITES,
             config,
             SimNetConfig::faulty(RttMatrix::table1().truncated(SITES), 0xC0DE),
-        ),
-        "tcp" => ClusterRuntime::tcp(SITES, config),
+        )),
+        "tcp" => Box::new(TcpCluster::new(SITES, config)),
         other => panic!("unknown backend {other}"),
     };
     for i in 0..ITEMS {
-        runtime.register(item_obj(i), INITIAL, 1);
+        runtime.register_counter(item_obj(i), INITIAL, 1);
     }
     runtime
 }
@@ -159,7 +158,7 @@ fn cluster(backend: &str) -> ClusterRuntime {
 /// Runs the seeded stream, optionally scraping every site's metrics dump
 /// every `scrape_every` operations, and fingerprints everything the
 /// execution observably produces.
-fn fingerprint(runtime: &mut ClusterRuntime, scrape_every: Option<usize>) -> (Vec<bool>, Vec<i64>) {
+fn fingerprint(runtime: &mut dyn ClientApi, scrape_every: Option<usize>) -> (Vec<bool>, Vec<i64>) {
     let mut rng = DetRng::seed_from(0x0B5E);
     let mut synchronized = Vec::with_capacity(OPS);
     for n in 0..OPS {
@@ -193,11 +192,11 @@ fn fingerprint(runtime: &mut ClusterRuntime, scrape_every: Option<usize>) -> (Ve
 
 #[test]
 fn metrics_scrapes_leave_execution_fingerprints_byte_identical() {
-    for backend in ["threaded", "sim", "tcp"] {
+    for backend in ["sim", "tcp"] {
         let mut unobserved = cluster(backend);
         let mut observed = cluster(backend);
-        let base = fingerprint(&mut unobserved, None);
-        let scraped = fingerprint(&mut observed, Some(37));
+        let base = fingerprint(unobserved.as_mut(), None);
+        let scraped = fingerprint(observed.as_mut(), Some(37));
         assert!(
             base.0.iter().any(|s| *s),
             "{backend}: the stream must exercise the violation path"
@@ -214,7 +213,7 @@ fn metrics_scrapes_leave_execution_fingerprints_byte_identical() {
 #[test]
 fn a_live_site_dumps_nonzero_sync_phase_histograms() {
     let mut runtime = cluster("tcp");
-    let _ = fingerprint(&mut runtime, None);
+    let _ = fingerprint(runtime.as_mut(), None);
     let dumps = runtime.metrics_text();
     // Coordinator-side round phases and participant-side freezes both ran
     // somewhere in the cluster; the wire dump must carry them.
