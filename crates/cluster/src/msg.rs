@@ -1510,6 +1510,70 @@ mod tests {
         ]
     }
 
+    /// Every [`exemplars`] frame, in order, as hex. Frames are what sites
+    /// of different builds exchange, so no codec change may move a byte of
+    /// them.
+    const GOLDEN: [&str; 48] = [
+        "000000230000000001000000000873746f636b5b305d0000000000000003010000000000000063",
+        "0000004b0000000004000000000873746f636b5b315d000000000000000100010000000a62616c616e63655b325dfffffffffffffff9020000000b6e65776f726465725b315d030000000000000005",
+        "000000050000000000",
+        "00000055010000000873746f636b5b375d000000000000006400000000000000010000000300000000000000000000000000000001000000000000000200000003ffffffffffffffdfffffffffffffffdf0000000000000000",
+        "0000002f02000000000000000100000000000000110000000873746f636b5b375d000000000000000002010000000000000028",
+        "0000001e02000000000000000000000000000000120000000873746f636b5b375d01",
+        "0000001e02000000000000000200000000000000130000000873746f636b5b375d02",
+        "0000001e02000000000000000200000000000000140000000873746f636b5b375d03",
+        "0000004202000000000000000000000000000000150000000873746f636b5b375d04000000040000000000000000000000000000000100000000000000020000000000000003",
+        "000000150300000000000000040000000873746f636b5b375d",
+        "0000001d0400000000000000040000000873746f636b5b375dfffffffffffffff4",
+        "0000005e0500000000000000040000000873746f636b5b375d000000000000006400000000000000010000000300000000000000000000000000000001000000000000000200000003ffffffffffffffdfffffffffffffffdf000000000000000001",
+        "0000005e0500000000000000050000000873746f636b5b375d000000000000006400000000000000010000000300000000000000000000000000000001000000000000000200000003ffffffffffffffdfffffffffffffffdf000000000000000000",
+        "000000150600000000000000040000000873746f636b5b375d",
+        "000000130700000000000000110100000000000000fa01",
+        "0000000108",
+        "000000d109000000020000000873746f636b5b375d000000000000006400000000000000010000000300000000000000000000000000000001000000000000000200000003ffffffffffffffdfffffffffffffffdf00000000000000000000000873746f636b5b375d000000000000006400000000000000010000000300000000000000000000000000000001000000000000000200000003ffffffffffffffdfffffffffffffffdf0000000000000000000000000000000400000003000000000000000000000000000000020000000000000003",
+        "00000021090000000000000000000000000000000200000000000000000000000000000001",
+        "000000110a00000000000000020000000000000009",
+        "000000110affffffffffffffff0000000000000000",
+        "000000550b0000000873746f636b5b375d000000000000006400000000000000010000000300000000000000000000000000000001000000000000000200000003ffffffffffffffdfffffffffffffffdf0000000000000000",
+        "0000000d0c0000000873746f636b5b375d",
+        "000000010d",
+        "000000390e00000004010000000000000000000000000700000002000000000000004d0000000000000000000000000008000000000000000000000000",
+        "000000010f",
+        "0000000910000000000000000c",
+        "0000000111",
+        "000000291200000000000000050000000000000002000000000000000300000000000000010000000000000280",
+        "0000000113",
+        "0000004a140000004523205459504520686f6d656f5f6c6f63616c5f636f6d6d6974735f746f74616c20636f756e7465720a686f6d656f5f6c6f63616c5f636f6d6d6974735f746f74616c20350a",
+        "000000051400000000",
+        "000000c215000000010000003f74786e206f72646572207b20717479203a3d20726561642873746f636b5b315d293b2077726974652873746f636b5b315d203d20717479202d2031293b207d000000020000000873746f636b5b315d00000000000000000000000873746f636b5b325d0000000000000001010000000000000000000000020000000873746f636b5b315d00000000000000640000000873746f636b5b325dfffffffffffffffd01000000000000001400000000000000030000000000000007",
+        "0000000f150000000000000000000000000000",
+        "00000009160000000000000004",
+        "00000012170000000000000017010000000000000002",
+        "0000000a17000000000000001800",
+        "00000009180000000000000009",
+        "00000027190000000000000009000000020000000178000000000000000a0000000179fffffffffffffffc",
+        "0000000d19000000000000000a00000000",
+        "000000381a0000000000000009010000000000000002000000000000000600000002000000017800000000000000090000000179fffffffffffffffc",
+        "000000161a000000000000000a00000000000000000700000000",
+        "000000091b0000000000000009",
+        "000000241c00000000000000030000000e3132372e302e302e313a37383434010000000000000004",
+        "0000000e1c00000000000000050000000000",
+        "000000c21d01000000000000000400000003000000000000000000000000000000020000000000000003000000040000000e3132372e302e302e313a37383431000000000000000e3132372e302e302e313a373834330000000e3132372e302e302e313a3738343401000000010000002974786e2074207b2078203a3d20726561642861293b2077726974652861203d2078202d2031293b207d000000010000000161000000000000000000000000010000000161000000000000000a000000000000000003",
+        "0000002b1d000000000000000000000000030000000000000000000000000000000100000000000000020000000000",
+        "000000091e0000000000000001",
+        "000000391f0000000000000004000000030000000000000000000000000000000200000000000000030000000400000000000000000000000000000000",
+    ];
+
+    #[test]
+    fn every_exemplar_encodes_to_its_golden_frame() {
+        let msgs = exemplars();
+        assert_eq!(msgs.len(), GOLDEN.len());
+        for (msg, golden) in msgs.iter().zip(GOLDEN) {
+            let hex: String = msg.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{msg:?}");
+        }
+    }
+
     #[test]
     fn hostile_member_lists_are_rejected() {
         // Unsorted or duplicated member lists and allowance/member length
