@@ -9,6 +9,11 @@
 //! `u32`-length-prefixed strings, one tag byte per variant, and the whole
 //! message wrapped in a `u32` length prefix so a byte stream can be framed
 //! without lookahead.
+//!
+//! The `wire!` table below is the codec: it declares each variant's tag and
+//! fields once and generates both directions from them. A new frame is one
+//! table row plus one entry in the tests' `exemplars()`, which must cover
+//! every tag and pins every exemplar's bytes.
 
 use homeo_lang::ids::ObjId;
 use homeo_protocol::{OptimizerConfig, ProgramBundle, ReplicatedStats, Roster};
@@ -495,16 +500,10 @@ impl Message {
     /// shipping a batch must not deep-clone every operation just to build
     /// an owned `Message` that is immediately encoded and dropped.
     pub fn encode_submit_into(ops: &[SiteOp], scratch: &mut Vec<u8>) -> Vec<u8> {
-        scratch.clear();
-        scratch.extend_from_slice(&[0u8; 4]);
-        scratch.push(0); // the Submit tag
-        scratch.extend_from_slice(&(ops.len() as u32).to_be_bytes());
-        for op in ops {
-            encode_op(op, scratch);
-        }
-        let len = (scratch.len() - 4) as u32;
-        scratch[..4].copy_from_slice(&len.to_be_bytes());
-        scratch.as_slice().to_vec()
+        frame_into(scratch, |buf| {
+            buf.push(SUBMIT_TAG);
+            put_slice(ops, buf);
+        })
     }
 
     /// [`Message::encode`] through a reusable per-connection scratch buffer:
@@ -514,12 +513,7 @@ impl Message {
     /// buffer avoids the per-frame body allocation and its growth
     /// reallocations — the hot path for every transport connection.
     pub fn encode_into(&self, scratch: &mut Vec<u8>) -> Vec<u8> {
-        scratch.clear();
-        scratch.extend_from_slice(&[0u8; 4]);
-        self.encode_body(scratch);
-        let len = (scratch.len() - 4) as u32;
-        scratch[..4].copy_from_slice(&len.to_be_bytes());
-        scratch.as_slice().to_vec()
+        frame_into(scratch, |buf| self.put(buf))
     }
 
     /// Decodes one frame produced by [`Message::encode`].
@@ -534,7 +528,7 @@ impl Message {
             data: frame,
             pos: 0,
         };
-        let len = cursor.u32().ok_or(CodecError::Truncated)? as usize;
+        let len = u32::get(&mut cursor).ok_or(CodecError::Truncated)? as usize;
         if len > MAX_FRAME_LEN {
             return Err(CodecError::Oversized { len });
         }
@@ -544,682 +538,316 @@ impl Message {
         if frame.len() > 4 + len {
             return Err(CodecError::Malformed);
         }
-        let msg = Self::decode_body(&mut cursor).ok_or(CodecError::Malformed)?;
+        let msg = Self::get(&mut cursor).ok_or(CodecError::Malformed)?;
         if cursor.pos == frame.len() {
             Ok(msg)
         } else {
             Err(CodecError::Malformed)
         }
     }
+}
 
-    fn encode_body(&self, buf: &mut Vec<u8>) {
-        match self {
-            Message::Submit { ops } => {
-                buf.push(0);
-                buf.extend_from_slice(&(ops.len() as u32).to_be_bytes());
-                for op in ops {
-                    encode_op(op, buf);
+/// Assembles one frame in `scratch` — a `u32` length prefix, then whatever
+/// `body` writes — and returns it as one exact-size allocation.
+fn frame_into(scratch: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    scratch.clear();
+    scratch.extend_from_slice(&[0u8; 4]);
+    body(scratch);
+    let len = (scratch.len() - 4) as u32;
+    scratch[..4].copy_from_slice(&len.to_be_bytes());
+    scratch.as_slice().to_vec()
+}
+
+/// A value with exactly one wire encoding: `get` accepts the bytes `put`
+/// writes and nothing else, so every frame that decodes re-encodes to
+/// itself.
+trait Wire: Sized {
+    /// An enum's variant tags, in table order (empty for other types).
+    #[cfg(test)]
+    const TAGS: &'static [u8] = &[];
+
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self>;
+}
+
+/// Declares the wire form of enums (one tag byte, then the variant's fields
+/// in order) and of structs (the fields in order). A row may end in a
+/// condition over some of its decoded fields, `if |field, ..| condition`:
+/// a frame that breaks it is malformed. A tag row may also name the tag as
+/// a constant (`tag as NAME`).
+macro_rules! wire {
+    () => {};
+    (enum $ty:ident {
+        $($tag:literal $(as $name:ident)? => $var:ident { $($field:ident),* }
+            $(if |$($cf:ident),*| $check:expr)?,)*
+    } $($rest:tt)*) => {
+        $($(const $name: u8 = $tag;)?)*
+        impl Wire for $ty {
+            #[cfg(test)]
+            const TAGS: &'static [u8] = &[$($tag),*];
+
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Self::$var { $($field),* } => {
+                        buf.push($tag);
+                        $($field.put(buf);)*
+                    })*
                 }
             }
-            Message::Register { meta } => {
-                buf.push(1);
-                encode_meta(meta, buf);
-            }
-            Message::SyncRequest {
-                origin,
-                req,
-                obj,
-                kind,
-            } => {
-                buf.push(2);
-                buf.extend_from_slice(&origin.to_be_bytes());
-                buf.extend_from_slice(&req.to_be_bytes());
-                encode_str(obj.as_str(), buf);
-                encode_kind(kind, buf);
-            }
-            Message::DeltaRequest { sync, obj } => {
-                buf.push(3);
-                buf.extend_from_slice(&sync.to_be_bytes());
-                encode_str(obj.as_str(), buf);
-            }
-            Message::DeltaReply { sync, obj, delta } => {
-                buf.push(4);
-                buf.extend_from_slice(&sync.to_be_bytes());
-                encode_str(obj.as_str(), buf);
-                buf.extend_from_slice(&delta.to_be_bytes());
-            }
-            Message::Install { sync, meta, apply } => {
-                buf.push(5);
-                buf.extend_from_slice(&sync.to_be_bytes());
-                encode_meta(meta, buf);
-                buf.push(u8::from(*apply));
-            }
-            Message::InstallAck { sync, obj } => {
-                buf.push(6);
-                buf.extend_from_slice(&sync.to_be_bytes());
-                encode_str(obj.as_str(), buf);
-            }
-            Message::SyncDone {
-                req,
-                refilled,
-                solver_micros,
-                folded,
-            } => {
-                buf.push(7);
-                buf.extend_from_slice(&req.to_be_bytes());
-                buf.push(u8::from(*refilled));
-                buf.extend_from_slice(&solver_micros.to_be_bytes());
-                buf.push(u8::from(*folded));
-            }
-            Message::StateRequest => buf.push(8),
-            Message::StateReply { counters, roster } => {
-                buf.push(9);
-                buf.extend_from_slice(&(counters.len() as u32).to_be_bytes());
-                for meta in counters {
-                    encode_meta(meta, buf);
+            fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+                let value = match u8::get(cursor)? {
+                    $($tag => Self::$var { $($field: Wire::get(cursor)?),* },)*
+                    _ => return None,
+                };
+                match &value {
+                    $($(Self::$var { $($cf,)* .. } if !$check => None,)?)*
+                    _ => Some(value),
                 }
-                encode_roster(roster, buf);
-            }
-            Message::Hello { peer, epoch } => {
-                buf.push(10);
-                buf.extend_from_slice(&peer.to_be_bytes());
-                buf.extend_from_slice(&epoch.to_be_bytes());
-            }
-            Message::Seed { meta } => {
-                buf.push(11);
-                encode_meta(meta, buf);
-            }
-            Message::SeedAck { obj } => {
-                buf.push(12);
-                encode_str(obj.as_str(), buf);
-            }
-            Message::PollRequest => buf.push(13),
-            Message::PollReply { outcomes } => {
-                buf.push(14);
-                buf.extend_from_slice(&(outcomes.len() as u32).to_be_bytes());
-                for outcome in outcomes {
-                    encode_outcome(outcome, buf);
-                }
-            }
-            Message::SyncAllRequest => buf.push(15),
-            Message::SyncAllReply { solver_micros } => {
-                buf.push(16);
-                buf.extend_from_slice(&solver_micros.to_be_bytes());
-            }
-            Message::StatsRequest => buf.push(17),
-            Message::StatsReply { stats } => {
-                buf.push(18);
-                buf.extend_from_slice(&stats.local_commits.to_be_bytes());
-                buf.extend_from_slice(&stats.synchronizations.to_be_bytes());
-                buf.extend_from_slice(&stats.negotiations.to_be_bytes());
-                buf.extend_from_slice(&stats.proactive_negotiations.to_be_bytes());
-                buf.extend_from_slice(&stats.solver_micros_total.to_be_bytes());
-            }
-            Message::MetricsRequest => buf.push(19),
-            Message::MetricsReply { text } => {
-                buf.push(20);
-                encode_str(text, buf);
-            }
-            Message::RegisterProgram { bundle } => {
-                buf.push(21);
-                encode_bundle(bundle, buf);
-            }
-            Message::ProgramAck { count } => {
-                buf.push(22);
-                buf.extend_from_slice(&count.to_be_bytes());
-            }
-            Message::ProgramSync { req, txn } => {
-                buf.push(23);
-                buf.extend_from_slice(&req.to_be_bytes());
-                encode_opt_u64(txn, buf);
-            }
-            Message::ProgramCollect { sync } => {
-                buf.push(24);
-                buf.extend_from_slice(&sync.to_be_bytes());
-            }
-            Message::ProgramDeltas { sync, values } => {
-                buf.push(25);
-                buf.extend_from_slice(&sync.to_be_bytes());
-                encode_pairs(values, buf);
-            }
-            Message::ProgramInstall {
-                sync,
-                txn,
-                round,
-                db,
-            } => {
-                buf.push(26);
-                buf.extend_from_slice(&sync.to_be_bytes());
-                encode_opt_u64(txn, buf);
-                buf.extend_from_slice(&round.to_be_bytes());
-                encode_pairs(db, buf);
-            }
-            Message::ProgramInstallAck { sync } => {
-                buf.push(27);
-                buf.extend_from_slice(&sync.to_be_bytes());
-            }
-            Message::JoinRequest {
-                site,
-                addr,
-                expected_epoch,
-            } => {
-                buf.push(28);
-                buf.extend_from_slice(&site.to_be_bytes());
-                encode_str(addr, buf);
-                encode_opt_u64(expected_epoch, buf);
-            }
-            Message::JoinAck {
-                ok,
-                roster,
-                addrs,
-                program,
-            } => {
-                buf.push(29);
-                buf.push(u8::from(*ok));
-                encode_roster(roster, buf);
-                encode_strs(addrs, buf);
-                match program {
-                    None => buf.push(0),
-                    Some((bundle, sites)) => {
-                        buf.push(1);
-                        encode_bundle(bundle, buf);
-                        buf.extend_from_slice(&sites.to_be_bytes());
-                    }
-                }
-            }
-            Message::Leave { site } => {
-                buf.push(30);
-                buf.extend_from_slice(&site.to_be_bytes());
-            }
-            Message::MembershipInstall { roster, addrs } => {
-                buf.push(31);
-                encode_roster(roster, buf);
-                encode_strs(addrs, buf);
             }
         }
-    }
-
-    fn decode_body(cursor: &mut Cursor<'_>) -> Option<Message> {
-        Some(match cursor.u8()? {
-            0 => {
-                let count = cursor.u32()? as usize;
-                let mut ops = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    ops.push(decode_op(cursor)?);
-                }
-                Message::Submit { ops }
-            }
-            1 => Message::Register {
-                meta: decode_meta(cursor)?,
-            },
-            2 => Message::SyncRequest {
-                origin: cursor.u64()?,
-                req: cursor.u64()?,
-                obj: ObjId::new(decode_str(cursor)?),
-                kind: decode_kind(cursor)?,
-            },
-            3 => Message::DeltaRequest {
-                sync: cursor.u64()?,
-                obj: ObjId::new(decode_str(cursor)?),
-            },
-            4 => Message::DeltaReply {
-                sync: cursor.u64()?,
-                obj: ObjId::new(decode_str(cursor)?),
-                delta: cursor.i64()?,
-            },
-            5 => Message::Install {
-                sync: cursor.u64()?,
-                meta: decode_meta(cursor)?,
-                apply: match cursor.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-            },
-            6 => Message::InstallAck {
-                sync: cursor.u64()?,
-                obj: ObjId::new(decode_str(cursor)?),
-            },
-            7 => Message::SyncDone {
-                req: cursor.u64()?,
-                refilled: cursor.u8()? != 0,
-                solver_micros: cursor.u64()?,
-                folded: cursor.u8()? != 0,
-            },
-            8 => Message::StateRequest,
-            9 => {
-                let count = cursor.u32()? as usize;
-                let mut counters = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    counters.push(decode_meta(cursor)?);
-                }
-                Message::StateReply {
-                    counters,
-                    roster: decode_roster(cursor)?,
-                }
-            }
-            10 => Message::Hello {
-                peer: cursor.u64()?,
-                epoch: cursor.u64()?,
-            },
-            11 => Message::Seed {
-                meta: decode_meta(cursor)?,
-            },
-            12 => Message::SeedAck {
-                obj: ObjId::new(decode_str(cursor)?),
-            },
-            13 => Message::PollRequest,
-            14 => {
-                let count = cursor.u32()? as usize;
-                let mut outcomes = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    outcomes.push(decode_outcome(cursor)?);
-                }
-                Message::PollReply { outcomes }
-            }
-            15 => Message::SyncAllRequest,
-            16 => Message::SyncAllReply {
-                solver_micros: cursor.u64()?,
-            },
-            17 => Message::StatsRequest,
-            18 => Message::StatsReply {
-                stats: ReplicatedStats {
-                    local_commits: cursor.u64()?,
-                    synchronizations: cursor.u64()?,
-                    negotiations: cursor.u64()?,
-                    proactive_negotiations: cursor.u64()?,
-                    solver_micros_total: cursor.u64()?,
-                },
-            },
-            19 => Message::MetricsRequest,
-            20 => Message::MetricsReply {
-                text: decode_str(cursor)?,
-            },
-            21 => Message::RegisterProgram {
-                bundle: decode_bundle(cursor)?,
-            },
-            22 => Message::ProgramAck {
-                count: cursor.u64()?,
-            },
-            23 => Message::ProgramSync {
-                req: cursor.u64()?,
-                txn: decode_opt_u64(cursor)?,
-            },
-            24 => Message::ProgramCollect {
-                sync: cursor.u64()?,
-            },
-            25 => Message::ProgramDeltas {
-                sync: cursor.u64()?,
-                values: decode_pairs(cursor)?,
-            },
-            26 => Message::ProgramInstall {
-                sync: cursor.u64()?,
-                txn: decode_opt_u64(cursor)?,
-                round: cursor.u64()?,
-                db: decode_pairs(cursor)?,
-            },
-            27 => Message::ProgramInstallAck {
-                sync: cursor.u64()?,
-            },
-            28 => Message::JoinRequest {
-                site: cursor.u64()?,
-                addr: decode_str(cursor)?,
-                expected_epoch: decode_opt_u64(cursor)?,
-            },
-            29 => Message::JoinAck {
-                ok: match cursor.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-                roster: decode_roster(cursor)?,
-                addrs: decode_strs(cursor)?,
-                program: match cursor.u8()? {
-                    0 => None,
-                    1 => Some((decode_bundle(cursor)?, cursor.u64()?)),
-                    _ => return None,
-                },
-            },
-            30 => Message::Leave {
-                site: cursor.u64()?,
-            },
-            31 => Message::MembershipInstall {
-                roster: decode_roster(cursor)?,
-                addrs: decode_strs(cursor)?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-fn encode_outcome(outcome: &OpOutcome, buf: &mut Vec<u8>) {
-    let flags = u8::from(outcome.committed)
-        | (u8::from(outcome.synchronized) << 1)
-        | (u8::from(outcome.refilled) << 2)
-        | (u8::from(outcome.unsupported) << 3);
-    buf.push(flags);
-    buf.extend_from_slice(&outcome.comm_rounds.to_be_bytes());
-    buf.extend_from_slice(&outcome.solver_micros.to_be_bytes());
-}
-
-fn decode_outcome(cursor: &mut Cursor<'_>) -> Option<OpOutcome> {
-    let flags = cursor.u8()?;
-    if flags > 0b1111 {
-        return None;
-    }
-    Some(OpOutcome {
-        committed: flags & 1 != 0,
-        synchronized: flags & 2 != 0,
-        refilled: flags & 4 != 0,
-        unsupported: flags & 8 != 0,
-        comm_rounds: cursor.u32()?,
-        solver_micros: cursor.u64()?,
-    })
-}
-
-fn encode_opt_u64(value: &Option<u64>, buf: &mut Vec<u8>) {
-    match value {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            buf.extend_from_slice(&v.to_be_bytes());
-        }
-    }
-}
-
-fn decode_opt_u64(cursor: &mut Cursor<'_>) -> Option<Option<u64>> {
-    Some(match cursor.u8()? {
-        0 => None,
-        1 => Some(cursor.u64()?),
-        _ => return None,
-    })
-}
-
-fn encode_pairs(pairs: &[(ObjId, i64)], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(pairs.len() as u32).to_be_bytes());
-    for (obj, value) in pairs {
-        encode_str(obj.as_str(), buf);
-        buf.extend_from_slice(&value.to_be_bytes());
-    }
-}
-
-fn decode_pairs(cursor: &mut Cursor<'_>) -> Option<Vec<(ObjId, i64)>> {
-    let count = cursor.u32()? as usize;
-    let mut pairs = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let obj = ObjId::new(decode_str(cursor)?);
-        pairs.push((obj, cursor.i64()?));
-    }
-    Some(pairs)
-}
-
-fn encode_bundle(bundle: &ProgramBundle, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(bundle.sources.len() as u32).to_be_bytes());
-    for source in &bundle.sources {
-        encode_str(source, buf);
-    }
-    buf.extend_from_slice(&(bundle.loc_pairs.len() as u32).to_be_bytes());
-    for (obj, site) in &bundle.loc_pairs {
-        encode_str(obj.as_str(), buf);
-        buf.extend_from_slice(&(*site as u64).to_be_bytes());
-    }
-    encode_opt_u64(&bundle.default_site.map(|s| s as u64), buf);
-    buf.extend_from_slice(&(bundle.initial.len() as u32).to_be_bytes());
-    for (obj, value) in &bundle.initial {
-        encode_str(obj.as_str(), buf);
-        buf.extend_from_slice(&value.to_be_bytes());
-    }
-    match &bundle.optimizer {
-        None => buf.push(0),
-        Some(cfg) => {
-            buf.push(1);
-            buf.extend_from_slice(&(cfg.lookahead as u64).to_be_bytes());
-            buf.extend_from_slice(&(cfg.futures as u64).to_be_bytes());
-            buf.extend_from_slice(&cfg.seed.to_be_bytes());
-        }
-    }
-}
-
-fn decode_bundle(cursor: &mut Cursor<'_>) -> Option<ProgramBundle> {
-    let count = cursor.u32()? as usize;
-    let mut sources = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        sources.push(decode_str(cursor)?);
-    }
-    let count = cursor.u32()? as usize;
-    let mut loc_pairs = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let obj = ObjId::new(decode_str(cursor)?);
-        loc_pairs.push((obj, cursor.u64()? as usize));
-    }
-    let default_site = decode_opt_u64(cursor)?.map(|s| s as usize);
-    let count = cursor.u32()? as usize;
-    let mut initial = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let obj = ObjId::new(decode_str(cursor)?);
-        initial.push((obj, cursor.i64()?));
-    }
-    let optimizer = match cursor.u8()? {
-        0 => None,
-        1 => Some(OptimizerConfig {
-            lookahead: cursor.u64()? as usize,
-            futures: cursor.u64()? as usize,
-            seed: cursor.u64()?,
-        }),
-        _ => return None,
+        wire!($($rest)*);
     };
-    Some(ProgramBundle {
-        sources,
-        loc_pairs,
-        default_site,
-        initial,
-        optimizer,
-    })
-}
-
-fn encode_op(op: &SiteOp, buf: &mut Vec<u8>) {
-    match op {
-        SiteOp::Order {
-            obj,
-            amount,
-            refill_to,
-        } => {
-            buf.push(0);
-            encode_str(obj.as_str(), buf);
-            buf.extend_from_slice(&amount.to_be_bytes());
-            match refill_to {
-                None => buf.push(0),
-                Some(r) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&r.to_be_bytes());
-                }
+    (struct $ty:ident { $($field:ident),* } $(if |$($cf:ident),*| $check:expr)?; $($rest:tt)*) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let Self { $($field),* } = self;
+                $($field.put(buf);)*
+            }
+            fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+                let value = Self { $($field: Wire::get(cursor)?),* };
+                $(
+                    let Self { $($cf,)* .. } = &value;
+                    if !$check {
+                        return None;
+                    }
+                )?
+                Some(value)
             }
         }
-        SiteOp::Increment { obj, amount } => {
-            buf.push(1);
-            encode_str(obj.as_str(), buf);
-            buf.extend_from_slice(&amount.to_be_bytes());
-        }
-        SiteOp::ForceSync { obj } => {
-            buf.push(2);
-            encode_str(obj.as_str(), buf);
-        }
-        SiteOp::Transaction { index } => {
-            buf.push(3);
-            buf.extend_from_slice(&(*index as u64).to_be_bytes());
-        }
+        wire!($($rest)*);
+    };
+}
+
+wire! {
+    enum Message {
+        0 as SUBMIT_TAG => Submit { ops },
+        1 => Register { meta },
+        2 => SyncRequest { origin, req, obj, kind },
+        3 => DeltaRequest { sync, obj },
+        4 => DeltaReply { sync, obj, delta },
+        5 => Install { sync, meta, apply },
+        6 => InstallAck { sync, obj },
+        7 => SyncDone { req, refilled, solver_micros, folded },
+        8 => StateRequest {},
+        9 => StateReply { counters, roster },
+        10 => Hello { peer, epoch },
+        11 => Seed { meta },
+        12 => SeedAck { obj },
+        13 => PollRequest {},
+        14 => PollReply { outcomes },
+        15 => SyncAllRequest {},
+        16 => SyncAllReply { solver_micros },
+        17 => StatsRequest {},
+        18 => StatsReply { stats },
+        19 => MetricsRequest {},
+        20 => MetricsReply { text },
+        21 => RegisterProgram { bundle },
+        22 => ProgramAck { count },
+        23 => ProgramSync { req, txn },
+        24 => ProgramCollect { sync },
+        25 => ProgramDeltas { sync, values },
+        26 => ProgramInstall { sync, txn, round, db },
+        27 => ProgramInstallAck { sync },
+        28 => JoinRequest { site, addr, expected_epoch },
+        29 => JoinAck { ok, roster, addrs, program },
+        30 => Leave { site },
+        31 => MembershipInstall { roster, addrs },
     }
-}
 
-fn decode_op(cursor: &mut Cursor<'_>) -> Option<SiteOp> {
-    Some(match cursor.u8()? {
-        0 => SiteOp::Order {
-            obj: ObjId::new(decode_str(cursor)?),
-            amount: cursor.i64()?,
-            refill_to: match cursor.u8()? {
-                0 => None,
-                1 => Some(cursor.i64()?),
-                _ => return None,
-            },
-        },
-        1 => SiteOp::Increment {
-            obj: ObjId::new(decode_str(cursor)?),
-            amount: cursor.i64()?,
-        },
-        2 => SiteOp::ForceSync {
-            obj: ObjId::new(decode_str(cursor)?),
-        },
-        3 => SiteOp::Transaction {
-            index: cursor.u64()? as usize,
-        },
-        _ => return None,
-    })
-}
-
-fn encode_kind(kind: &SyncKind, buf: &mut Vec<u8>) {
-    match kind {
-        SyncKind::Order { amount, refill_to } => {
-            buf.push(0);
-            buf.extend_from_slice(&amount.to_be_bytes());
-            match refill_to {
-                None => buf.push(0),
-                Some(r) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&r.to_be_bytes());
-                }
-            }
-        }
-        SyncKind::Pin => buf.push(1),
-        SyncKind::Fold => buf.push(2),
-        SyncKind::Proactive => buf.push(3),
-        SyncKind::Handoff { members } => {
-            buf.push(4);
-            encode_members(members, buf);
-        }
+    enum SiteOp {
+        0 => Order { obj, amount, refill_to },
+        1 => Increment { obj, amount },
+        2 => ForceSync { obj },
+        3 => Transaction { index },
     }
-}
 
-fn decode_kind(cursor: &mut Cursor<'_>) -> Option<SyncKind> {
-    Some(match cursor.u8()? {
-        0 => SyncKind::Order {
-            amount: cursor.i64()?,
-            refill_to: match cursor.u8()? {
-                0 => None,
-                1 => Some(cursor.i64()?),
-                _ => return None,
-            },
-        },
-        1 => SyncKind::Pin,
-        2 => SyncKind::Fold,
-        3 => SyncKind::Proactive,
-        4 => SyncKind::Handoff {
-            members: decode_members(cursor)?,
-        },
-        _ => return None,
-    })
-}
-
-fn encode_members(members: &[usize], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(members.len() as u32).to_be_bytes());
-    for m in members {
-        buf.extend_from_slice(&(*m as u64).to_be_bytes());
+    enum SyncKind {
+        0 => Order { amount, refill_to },
+        1 => Pin {},
+        2 => Fold {},
+        3 => Proactive {},
+        4 => Handoff { members } if |members| ascending(members),
     }
+
+    // Allowances are indexed by member position; a length mismatch would
+    // panic deep in the worker, so it is rejected here.
+    struct CounterMeta { obj, base, lower_bound, members, allowances }
+        if |members, allowances| ascending(members) && allowances.len() == members.len();
+    struct Roster { epoch, members } if |members| ascending(members);
+    struct ProgramBundle { sources, loc_pairs, default_site, initial, optimizer };
+    struct OptimizerConfig { lookahead, futures, seed };
+    struct ReplicatedStats {
+        local_commits, synchronizations, negotiations, proactive_negotiations, solver_micros_total
+    };
 }
 
 /// Member lists must arrive non-empty and strictly increasing — the worker
 /// binary-searches them and indexes allowances by member position, so a
 /// hostile or corrupted list is rejected at the codec.
-fn decode_members(cursor: &mut Cursor<'_>) -> Option<Vec<usize>> {
-    let count = cursor.u32()? as usize;
-    if count == 0 {
-        return None;
+fn ascending(members: &[usize]) -> bool {
+    !members.is_empty() && members.windows(2).all(|pair| pair[0] < pair[1])
+}
+
+/// Four flag bits, then the round count and the solver time.
+impl Wire for OpOutcome {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let flags = u8::from(self.committed)
+            | (u8::from(self.synchronized) << 1)
+            | (u8::from(self.refilled) << 2)
+            | (u8::from(self.unsupported) << 3);
+        buf.push(flags);
+        self.comm_rounds.put(buf);
+        self.solver_micros.put(buf);
     }
-    let mut members = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let m = cursor.u64()? as usize;
-        if members.last().is_some_and(|last| *last >= m) {
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        let flags = u8::get(cursor)?;
+        if flags > 0b1111 {
             return None;
         }
-        members.push(m);
-    }
-    Some(members)
-}
-
-fn encode_roster(roster: &Roster, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&roster.epoch.to_be_bytes());
-    encode_members(&roster.members, buf);
-}
-
-fn decode_roster(cursor: &mut Cursor<'_>) -> Option<Roster> {
-    Some(Roster {
-        epoch: cursor.u64()?,
-        members: decode_members(cursor)?,
-    })
-}
-
-fn encode_strs(strs: &[String], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(strs.len() as u32).to_be_bytes());
-    for s in strs {
-        encode_str(s, buf);
+        Some(OpOutcome {
+            committed: flags & 1 != 0,
+            synchronized: flags & 2 != 0,
+            refilled: flags & 4 != 0,
+            unsupported: flags & 8 != 0,
+            comm_rounds: u32::get(cursor)?,
+            solver_micros: u64::get(cursor)?,
+        })
     }
 }
 
-fn decode_strs(cursor: &mut Cursor<'_>) -> Option<Vec<String>> {
-    let count = cursor.u32()? as usize;
-    let mut strs = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        strs.push(decode_str(cursor)?);
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_be_bytes());
+            }
+            fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+                cursor.array().map(<$ty>::from_be_bytes)
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64, i64);
+
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
     }
-    Some(strs)
-}
 
-fn encode_meta(meta: &CounterMeta, buf: &mut Vec<u8>) {
-    encode_str(meta.obj.as_str(), buf);
-    buf.extend_from_slice(&meta.base.to_be_bytes());
-    buf.extend_from_slice(&meta.lower_bound.to_be_bytes());
-    encode_members(&meta.members, buf);
-    buf.extend_from_slice(&(meta.allowances.len() as u32).to_be_bytes());
-    for a in &meta.allowances {
-        buf.extend_from_slice(&a.to_be_bytes());
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        match u8::get(cursor)? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 }
 
-fn decode_meta(cursor: &mut Cursor<'_>) -> Option<CounterMeta> {
-    let obj = ObjId::new(decode_str(cursor)?);
-    let base = cursor.i64()?;
-    let lower_bound = cursor.i64()?;
-    let members = decode_members(cursor)?;
-    let count = cursor.u32()? as usize;
-    // Allowances are indexed by member position; a length mismatch would
-    // panic deep in the worker, so reject it at the codec.
-    if count != members.len() {
-        return None;
+/// Site ids, indices and sizes travel as `u64`.
+impl Wire for usize {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
     }
-    let mut allowances = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        allowances.push(cursor.i64()?);
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        usize::try_from(u64::get(cursor)?).ok()
     }
-    Some(CounterMeta {
-        obj,
-        base,
-        lower_bound,
-        members,
-        allowances,
-    })
 }
 
-fn encode_str(s: &str, buf: &mut Vec<u8>) {
-    let bytes = s.as_bytes();
-    buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    buf.extend_from_slice(bytes);
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(self, buf);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        get_str(cursor).map(str::to_owned)
+    }
 }
 
-fn decode_str(cursor: &mut Cursor<'_>) -> Option<String> {
-    let len = cursor.u32()? as usize;
-    String::from_utf8(cursor.take(len)?.to_vec()).ok()
+impl Wire for ObjId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(self.as_str(), buf);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        get_str(cursor).map(ObjId::new)
+    }
 }
 
-/// A bounds-checked big-endian reader over a byte slice.
+fn put_str(s: &str, buf: &mut Vec<u8>) {
+    (s.len() as u32).put(buf);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn get_str<'a>(cursor: &mut Cursor<'a>) -> Option<&'a str> {
+    let len = u32::get(cursor)? as usize;
+    std::str::from_utf8(cursor.take(len)?).ok()
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_slice(self, buf);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        let count = u32::get(cursor)? as usize;
+        // The count is untrusted: reserve at most 64 Ki elements up front.
+        let mut items = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            items.push(T::get(cursor)?);
+        }
+        Some(items)
+    }
+}
+
+fn put_slice<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
+    (items.len() as u32).put(buf);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(value) = self {
+            value.put(buf);
+        }
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        if bool::get(cursor)? {
+            T::get(cursor).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> Option<Self> {
+        Some((A::get(cursor)?, B::get(cursor)?))
+    }
+}
+
+/// A bounds-checked reader over a byte slice.
 struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
@@ -1233,23 +861,9 @@ impl<'a> Cursor<'a> {
         Some(slice)
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_be_bytes(s.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_be_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.take(8)
-            .map(|s| i64::from_be_bytes(s.try_into().expect("8 bytes")))
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)
+            .map(|s| s.try_into().expect("take returns exactly N bytes"))
     }
 }
 
@@ -1595,6 +1209,118 @@ mod tests {
         mismatched.allowances.pop();
         let frame = Message::Register { meta: mismatched }.encode();
         assert_eq!(Message::decode(&frame), Err(CodecError::Malformed));
+        // The same rule holds for the handoff's target members and for the
+        // rosters that ride in state replies and join acks.
+        for members in [vec![1, 0, 2], vec![0, 0, 3], Vec::new()] {
+            let hostile = [
+                Message::SyncRequest {
+                    origin: 0,
+                    req: 21,
+                    obj: ObjId::new("stock[7]"),
+                    kind: SyncKind::Handoff {
+                        members: members.clone(),
+                    },
+                },
+                Message::StateReply {
+                    counters: vec![meta()],
+                    roster: Roster {
+                        epoch: 4,
+                        members: members.clone(),
+                    },
+                },
+                Message::JoinAck {
+                    ok: true,
+                    roster: Roster { epoch: 4, members },
+                    addrs: Vec::new(),
+                    program: None,
+                },
+            ];
+            for msg in hostile {
+                assert_eq!(
+                    Message::decode(&msg.encode()),
+                    Err(CodecError::Malformed),
+                    "{msg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn booleans_other_than_zero_or_one_are_rejected() {
+        let mut frame = Message::SyncDone {
+            req: 17,
+            refilled: true,
+            solver_micros: 250,
+            folded: false,
+        }
+        .encode();
+        // `refilled` follows the prefix, the tag and the `u64` request id.
+        frame[4 + 1 + 8] = 2;
+        assert_eq!(Message::decode(&frame), Err(CodecError::Malformed));
+    }
+
+    #[test]
+    fn the_tag_table_is_dense_and_every_tag_has_an_exemplar() {
+        for tags in [Message::TAGS, SiteOp::TAGS, SyncKind::TAGS] {
+            let mut sorted = tags.to_vec();
+            sorted.sort_unstable();
+            let dense: Vec<u8> = (0..tags.len() as u8).collect();
+            assert_eq!(sorted, dense, "tags {tags:?} are not 0..{}", tags.len());
+        }
+        let mut covered: Vec<u8> = exemplars().iter().map(|msg| msg.encode()[4]).collect();
+        covered.sort_unstable();
+        covered.dedup();
+        let mut tags = Message::TAGS.to_vec();
+        tags.sort_unstable();
+        assert_eq!(covered, tags, "a frame tag has no entry in exemplars()");
+    }
+
+    /// One seeded corruption of a well-formed frame.
+    fn mutate(frame: &[u8], rng: &mut homeo_sim::DetRng) -> Vec<u8> {
+        let mut bytes = frame.to_vec();
+        let at = rng.index(bytes.len());
+        match rng.index(5) {
+            0 => bytes[at] ^= 1 << rng.index(8),
+            1 => bytes[at] = rng.next_u64() as u8,
+            2 => bytes.truncate(at),
+            3 => bytes.insert(at, rng.next_u64() as u8),
+            _ => {
+                // Near the true length most of the time, so the body still
+                // gets parsed; anything at all otherwise.
+                let len = if rng.chance(0.8) {
+                    (bytes.len() as i64 - 4 + rng.int_inclusive(-3, 3)).max(0) as u32
+                } else {
+                    rng.next_u64() as u32
+                };
+                bytes[..4].copy_from_slice(&len.to_be_bytes());
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn mutated_frames_fail_cleanly_or_round_trip_exactly() {
+        // Whatever a corrupted frame decodes to must re-encode to exactly
+        // its bytes (the codec is canonical), and nothing may panic — both
+        // for a frame decoded whole and for one pulled from a stream.
+        let mut rng = homeo_sim::DetRng::seed_from(0xC0DEC);
+        for msg in exemplars() {
+            let frame = msg.encode();
+            for _ in 0..2000 {
+                let mutated = mutate(&frame, &mut rng);
+                if let Ok(decoded) = Message::decode(&mutated) {
+                    assert_eq!(decoded.encode(), mutated, "{decoded:?}");
+                }
+                let mut asm = FrameAssembler::new();
+                asm.push(&mutated);
+                asm.push(&frame);
+                while let Ok(Some(pulled)) = asm.next_frame() {
+                    if let Ok(decoded) = Message::decode(&pulled) {
+                        assert_eq!(decoded.encode(), pulled, "{decoded:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
