@@ -358,12 +358,17 @@ impl ProgramSet {
                     seed: cfg.seed.wrapping_add(self.treaties.round),
                     ..*cfg
                 };
-                let result = optimize_timed(templates, db, &mut model, &seeded, timer);
+                let mut result = optimize_timed(templates, db, &mut model, &seeded, timer);
+                // The tightened configuration admits about `lookahead`
+                // steps of the model; the headroom H1 leaves beyond them
+                // goes to the sites that hold each clause.
+                templates.spend_h1_slack(&mut result.config);
                 (result.config, result.solver_micros)
             }
             None => (templates.default_config(db), 0),
         };
-        debug_assert!(templates.config_is_valid(&config));
+        debug_assert!(templates.satisfies_h1(&config) && templates.config_is_valid(&config));
+        debug_assert!(templates.group_holds(&templates.soft_group_for_db(db), &config));
         self.treaties
             .install(templates.global(), templates.local_treaties(&config));
         solver_micros

@@ -273,6 +273,37 @@ impl TreatyTemplates {
         })
     }
 
+    /// Hands each `≤` clause's H1 slack — what `Σ_k c_k` exceeds
+    /// `(K-1)·n` by — to the sites holding part of the clause: an equal
+    /// share each, the remainder one unit at a time to the lowest-indexed
+    /// holders. Lowering `c_k` only loosens site `k`'s local treaty, so every
+    /// bound `config` met (H2, each selected soft group) still holds, and the
+    /// clause ends at `Σ_k c_k = (K-1)·n`, which is still H1. A site with no
+    /// term in the clause would gain nothing from a lower `c_k`, and an `=`
+    /// clause has no slack: both are left as they are. The result depends on
+    /// the templates and `config` alone, so sites that derive `config` in
+    /// lockstep derive the same spent configuration.
+    pub fn spend_h1_slack(&self, config: &mut [i64]) {
+        debug_assert_eq!(config.len(), self.clauses.len() * self.sites);
+        let required = self.sites as i64 - 1;
+        let rows = self
+            .clauses
+            .iter()
+            .zip(config.chunks_mut(self.sites.max(1)));
+        for (clause, values) in rows {
+            let holds = |k: &usize| !clause.site_terms[*k].is_constant();
+            let holders = (0..self.sites).filter(holds).count() as i64;
+            let slack = values.iter().sum::<i64>() - required * clause.bound;
+            if clause.relation() == CmpKind::Eq || holders == 0 || slack <= 0 {
+                continue;
+            }
+            let (share, remainder) = (slack / holders, slack % holders);
+            for (i, k) in (0..self.sites).filter(holds).enumerate() {
+                values[k] -= share + i64::from((i as i64) < remainder);
+            }
+        }
+    }
+
     /// Algorithm 1's MaxSMT call: the hard system is H1 plus the bounds of
     /// `now` (H2: the treaties hold on the current database), and each of
     /// `futures` is one soft group. Every row but H1 bounds one variable, so
@@ -787,5 +818,54 @@ mod tests {
             "only {optimized} optimized configurations"
         );
         assert!(rejected >= 500, "only {rejected} invalid configurations");
+    }
+
+    #[test]
+    fn spending_the_slack_keeps_every_bound_and_leaves_none() {
+        let mut rng = DetRng::seed_from(0x5_1ac7);
+        let (mut spent, mut non_holders) = (0, 0);
+        for case in 0..500 {
+            let sites = 2 + rng.index(11);
+            let (templates, db, objects) = seeded_templates(&mut rng, sites);
+            let mut model = |current: &Database, rng: &mut DetRng| {
+                let mut next = current.clone();
+                let obj = objects[rng.index(objects.len())].clone();
+                next.add(obj, rng.int_inclusive(-2, 2));
+                next
+            };
+            let cfg = OptimizerConfig {
+                lookahead: 1 + rng.index(6),
+                futures: 1 + rng.index(3),
+                seed: rng.int_inclusive(0, 1 << 40) as u64,
+            };
+            let optimized = optimize_timed(&templates, &db, &mut model, &cfg, Timer::fixed_zero());
+            let now = templates.soft_group_for_db(&db);
+            for before in [optimized.config, templates.default_config(&db)] {
+                let mut after = before.clone();
+                templates.spend_h1_slack(&mut after);
+                assert!(templates.satisfies_h1(&after), "case {case}: {after:?}");
+                assert!(templates.config_is_valid(&after), "case {case}: {after:?}");
+                assert!(templates.group_holds(&now, &after), "case {case}");
+                for (idx, clause) in templates.clauses.iter().enumerate() {
+                    let at = templates.config_index(idx, 0)..templates.config_index(idx, sites);
+                    let (was, is) = (&before[at.clone()], &after[at]);
+                    let holds = |k: usize| !clause.site_terms[k].is_constant();
+                    for k in 0..sites {
+                        assert!(is[k] <= was[k], "case {case}: c{idx}@{k} rose");
+                        if clause.relation() == CmpKind::Eq || !holds(k) {
+                            assert_eq!(is[k], was[k], "case {case}: c{idx}@{k} moved");
+                            non_holders += usize::from(!holds(k));
+                        }
+                    }
+                    if clause.relation() == CmpKind::Le && (0..sites).any(holds) {
+                        let slack = is.iter().sum::<i64>() - (sites as i64 - 1) * clause.bound;
+                        assert_eq!(slack, 0, "case {case}: clause {idx} keeps slack");
+                        spent += usize::from(is != was);
+                    }
+                }
+            }
+        }
+        assert!(spent >= 500, "only {spent} clauses had slack to spend");
+        assert!(non_holders >= 1000, "only {non_holders} non-holders");
     }
 }

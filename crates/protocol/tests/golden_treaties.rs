@@ -1,10 +1,17 @@
 //! Golden general negotiations: every treaty table a seeded operation chain
 //! installs through the serial [`HomeostasisCluster`] oracle, pinned by hash.
-//! Recorded at the last commit whose solver eliminated over string-keyed
-//! rows and whose `ProgramSet::negotiate` re-derived ψ and the templates
-//! every round; a kernel or caching change that moves a treaty moves a hash.
-//! A running hash is pinned every tenth install, so a divergence is
-//! localised to ten rounds.
+//! The hashes pin Algorithm 1's configuration after `ProgramSet::negotiate`
+//! has handed each `≤` clause's H1 slack to the sites holding the clause
+//! (`TreatyTemplates::spend_h1_slack`). They were re-recorded when that
+//! step landed: it keeps a local treaty alive until its object reaches the
+//! order program's refill boundary instead of for about `lookahead` steps of
+//! the workload model, so the chains install far fewer tables than before
+//! (70 → 1 on the `tcp-general` fixture, 156 → 39 on the TPC-C one). Before
+//! that, the hashes were those of the last commit whose solver eliminated
+//! over string-keyed rows; every solver, caching and kernel change between
+//! the two left them unmoved. A change that moves a treaty moves a hash. A
+//! running hash is pinned every tenth install, so a divergence is localised
+//! to ten rounds.
 
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
@@ -99,19 +106,9 @@ fn tcp_general_fixture_installs_the_recorded_treaties() {
         .map(|i| (ObjId::new(format!("gstock[{i}]")), i % 2, 1_000_000_000))
         .collect();
     let (installs, checkpoints) = chain(&objects, 1_000_000_000, 2, 0x6e4e);
-    assert_eq!(installs, 70);
-    assert_eq!(
-        checkpoints,
-        [
-            0x72ca85454c8d2364,
-            0x5fe8111b70606d0b,
-            0x9953895529659aab,
-            0x0b2658033708c9f5,
-            0xb3e56731e1598f49,
-            0x2088d947c7aae884,
-            0xdce72b6fc740c0ee,
-        ]
-    );
+    // Ample stock: the treaties installed at registration last the chain.
+    assert_eq!(installs, 1);
+    assert_eq!(checkpoints, [0x80377b5b06e7b46d]);
 }
 
 #[test]
@@ -128,26 +125,16 @@ fn tpcc_new_order_fixture_installs_the_recorded_treaties() {
         }
     }
     let (installs, checkpoints) = chain(&objects, 20, 3, 0x7cc);
-    assert_eq!(installs, 156);
+    // Every round is forced: an order leaves its program's order branch
+    // (stock 2 → 1) or its refill branch (1 → 19).
+    assert_eq!(installs, 39);
     assert_eq!(
         checkpoints,
         [
-            0x173f4137a9be7846,
-            0xce0f7ae7de7250d6,
-            0x71142fdb854fb6be,
-            0x2c5f4c10e4e73e15,
-            0xdacf0d26af36492a,
-            0x06264ff05783b87f,
-            0x1359e64256593538,
-            0xd81f571c9fcd9014,
-            0xb4ef3fdd3d06eb33,
-            0x0493bcb61432e0ff,
-            0xb4221e8bb75e25ce,
-            0xe8c8cbc34328cdca,
-            0xa82bb84d1905b71f,
-            0x56f120898c855176,
-            0x95d6c00ab08d2284,
-            0x2b13174692d7477d,
+            0x3781160de04836ad,
+            0xca16c460268915af,
+            0x1e1811d6564b6255,
+            0xb2f05d6a59cb74ca,
         ]
     );
 }
