@@ -115,8 +115,12 @@ fn general_obj(i: usize) -> ObjId {
 }
 
 /// The general-path fixture: one order program per object, objects spread
-/// round-robin over the sites, the same ample headroom as the counter
-/// pool so the cells measure the treaty-holding path.
+/// round-robin over the sites, the same ample headroom as the counter pool.
+/// The bundle registers no optimizer, so every negotiation installs
+/// Theorem 4.3's default configuration: each local treaty holds its objects
+/// at their current values, every order violates it, and each op is a
+/// synchronization round. The cells measure what a general round costs,
+/// not the treaty-holding path.
 fn general_bundle() -> ProgramBundle {
     let objects: Vec<ObjId> = (0..GENERAL_PROGRAMS).map(general_obj).collect();
     let txns: Vec<_> = objects

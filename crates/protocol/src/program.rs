@@ -9,7 +9,11 @@
 //! database with the same lockstep round counter and optimizer seed. Because
 //! every step of that pipeline is deterministic, all sites (and the serial
 //! [`crate::round::HomeostasisCluster`] oracle) arrive at byte-identical
-//! treaty tables without a single treaty crossing the wire.
+//! treaty tables without a single treaty crossing the wire. That includes
+//! the last step of an optimized negotiation, which hands each clause's H1
+//! slack to the sites holding the clause
+//! ([`TreatyTemplates::spend_h1_slack`]): it depends on the templates and
+//! Algorithm 1's configuration alone.
 //!
 //! * [`ProgramBundle`] — the wire/registration form: sources, object
 //!   locations, initial values, optimizer settings.
@@ -314,11 +318,18 @@ impl ProgramSet {
     }
 
     /// Treaty generation for a round starting from `db` — the single shared
-    /// negotiation path of the general protocol. Every caller with the same
-    /// `(db, round, optimizer seed)` derives byte-identical treaties, which
-    /// is how the cluster distributes treaties without sending them: each
-    /// site negotiates locally from the installed global state. Returns the
-    /// solver time in microseconds as measured by `timer`.
+    /// negotiation path of the general protocol. With an optimizer, Algorithm
+    /// 1 picks the configuration and then every `≤` clause's H1 slack goes,
+    /// in equal shares, to the sites holding part of the clause, so a local
+    /// treaty lasts until the global treaty itself is at stake instead of
+    /// for about `lookahead` sampled steps; without one, the configuration
+    /// is Theorem 4.3's default. Both steps are deterministic: every caller
+    /// with the same `(db, round, optimizer seed)` derives byte-identical
+    /// treaties, which is how the cluster distributes treaties without
+    /// sending them — each site negotiates locally from the installed global
+    /// state, and a restarted site that rewinds its round counter
+    /// ([`Self::set_round`]) re-derives the cluster's. Returns the solver
+    /// time in microseconds as measured by `timer`.
     pub fn negotiate(&mut self, db: &Database, timer: Timer) -> u64 {
         let (loc, sites) = (&self.loc, self.sites);
         // ψ-selection; a database no row admits negotiates the trivial

@@ -11,7 +11,9 @@
 //!    variable `c_k`;
 //! 3. instantiate the configuration variables — either with the default
 //!    assignment of Theorem 4.3 (always valid) or with values chosen by the
-//!    workload-driven optimizer (Algorithm 1, [`crate::optimizer`]).
+//!    workload-driven optimizer (Algorithm 1, [`crate::optimizer`]), whose
+//!    leftover H1 slack the general path then hands to the sites holding
+//!    each clause ([`TreatyTemplates::spend_h1_slack`]).
 //!
 //! The exact validity condition (H1) for these templates reduces to linear
 //! constraints over the configuration variables (`Σ_k c_k ≥ (K-1)·n` for
