@@ -321,15 +321,15 @@ impl ProgramSet {
     /// negotiation path of the general protocol. With an optimizer, Algorithm
     /// 1 picks the configuration and then every `≤` clause's H1 slack goes,
     /// in equal shares, to the sites holding part of the clause, so a local
-    /// treaty lasts until the global treaty itself is at stake instead of
-    /// for about `lookahead` sampled steps; without one, the configuration
-    /// is Theorem 4.3's default. Both steps are deterministic: every caller
-    /// with the same `(db, round, optimizer seed)` derives byte-identical
-    /// treaties, which is how the cluster distributes treaties without
-    /// sending them — each site negotiates locally from the installed global
-    /// state, and a restarted site that rewinds its round counter
-    /// ([`Self::set_round`]) re-derives the cluster's. Returns the solver
-    /// time in microseconds as measured by `timer`.
+    /// treaty lasts until its site's share of that headroom is used up
+    /// instead of for about `lookahead` sampled steps; without one, the
+    /// configuration is Theorem 4.3's default. Both steps are deterministic:
+    /// every caller with the same `(db, round, optimizer seed)` derives
+    /// byte-identical treaties, which is how the cluster distributes
+    /// treaties without sending them — each site negotiates locally from the
+    /// installed global state, and a restarted site that rewinds its round
+    /// counter ([`Self::set_round`]) re-derives the cluster's. Returns the
+    /// solver time in microseconds as measured by `timer`.
     pub fn negotiate(&mut self, db: &Database, timer: Timer) -> u64 {
         let (loc, sites) = (&self.loc, self.sites);
         // ψ-selection; a database no row admits negotiates the trivial
