@@ -12,7 +12,12 @@
 //! the two left them unmoved. A change that moves a treaty moves a hash. A
 //! running hash is pinned every tenth install, so a divergence is localised
 //! to ten rounds.
+//!
+//! The order-program chains give every clause one holder, so Algorithm 1's
+//! configuration search cannot change what they install; the chain over
+//! the paper's `T1`/`T2` pins the search's output.
 
+use homeo_lang::ast::Transaction;
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
 use homeo_lang::programs;
@@ -48,21 +53,30 @@ fn fold_table(hash: &mut u64, table: &TreatyTable) {
     }
 }
 
-/// Runs a seeded chain over one order-or-refill program per object and
-/// returns `(installs, checkpoints)`: the running hash after every
-/// `STRIDE`-th installed table and after the last.
-fn chain(
+/// One order-or-refill program per object, each object at its site with
+/// its initial value: the fixture shape of the benchmark and TPC-C chains.
+fn order_fixture(
     objects: &[(ObjId, usize, i64)],
     refill: i64,
-    sites: usize,
-    seed: u64,
-) -> (usize, Vec<u64>) {
+) -> (Vec<Transaction>, Loc, Database) {
     let txns = objects
         .iter()
         .map(|(obj, _, _)| programs::order_for_object(obj.clone(), refill))
         .collect();
     let loc = Loc::from_pairs(objects.iter().map(|(obj, site, _)| (obj.clone(), *site)));
     let initial = Database::from_pairs(objects.iter().map(|(obj, _, v)| (obj.clone(), *v)));
+    (txns, loc, initial)
+}
+
+/// Runs a seeded chain over `txns` and returns `(installs, checkpoints)`:
+/// the running hash after every `STRIDE`-th installed table and after the
+/// last.
+fn chain(
+    (txns, loc, initial): (Vec<Transaction>, Loc, Database),
+    sites: usize,
+    seed: u64,
+) -> (usize, Vec<u64>) {
+    let count = txns.len();
     let mut cluster = HomeostasisCluster::new(txns, loc, sites, initial, Some(OPTIMIZER))
         .with_timer(Timer::fixed_zero());
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -79,13 +93,9 @@ fn chain(
     let mut rng = DetRng::seed_from(seed);
     for _ in 0..OPS {
         // Skewed like the benchmark's stream: the first object is hot.
-        let index = if rng.chance(0.5) {
-            0
-        } else {
-            rng.index(objects.len())
-        };
+        let index = if rng.chance(0.5) { 0 } else { rng.index(count) };
         let round = cluster.treaties().round;
-        let outcome = cluster.execute(index).expect("order programs evaluate");
+        let outcome = cluster.execute(index).expect("the programs evaluate");
         assert!(outcome.committed);
         assert_eq!(outcome.synchronized, cluster.treaties().round != round);
         if outcome.synchronized {
@@ -105,7 +115,7 @@ fn tcp_general_fixture_installs_the_recorded_treaties() {
     let objects: Vec<(ObjId, usize, i64)> = (0..8)
         .map(|i| (ObjId::new(format!("gstock[{i}]")), i % 2, 1_000_000_000))
         .collect();
-    let (installs, checkpoints) = chain(&objects, 1_000_000_000, 2, 0x6e4e);
+    let (installs, checkpoints) = chain(order_fixture(&objects, 1_000_000_000), 2, 0x6e4e);
     // Ample stock: the treaties installed at registration last the chain.
     assert_eq!(installs, 1);
     assert_eq!(checkpoints, [0x80377b5b06e7b46d]);
@@ -124,7 +134,7 @@ fn tpcc_new_order_fixture_installs_the_recorded_treaties() {
             }
         }
     }
-    let (installs, checkpoints) = chain(&objects, 20, 3, 0x7cc);
+    let (installs, checkpoints) = chain(order_fixture(&objects, 20), 3, 0x7cc);
     // Every round is forced: an order leaves its program's order branch
     // (stock 2 → 1) or its refill branch (1 → 19).
     assert_eq!(installs, 39);
@@ -135,6 +145,53 @@ fn tpcc_new_order_fixture_installs_the_recorded_treaties() {
             0xca16c460268915af,
             0x1e1811d6564b6255,
             0xb2f05d6a59cb74ca,
+        ]
+    );
+}
+
+#[test]
+fn paper_t1_t2_fixture_installs_the_recorded_treaties() {
+    // Figure 3's T1 (writes x at site 0) and T2 (writes y at site 1) from
+    // x = 10, y = 13. Both programs read both objects, so every clause has
+    // two holders: the one committed fixture where Algorithm 1's
+    // configuration search changes the installed treaties.
+    let loc = Loc::from_pairs([("x", 0usize), ("y", 1usize)]);
+    let initial = Database::from_pairs([("x", 10), ("y", 13)]);
+    let (installs, checkpoints) = chain(
+        (vec![programs::t1(), programs::t2()], loc, initial),
+        2,
+        0x7172,
+    );
+    // Most operations end their round: 244 of the 300 install a table.
+    assert_eq!(installs, 244);
+    assert_eq!(
+        checkpoints,
+        [
+            0xcafe2eeae735f53f,
+            0x14d205a6c1289d79,
+            0x501250fccdb93a5d,
+            0x55f48ba276db24fb,
+            0xfbcd77ad962b9347,
+            0xf4c43bb3b7f786d3,
+            0x02ecf2d8c26604af,
+            0x03d2f86a535c408d,
+            0x3523b841157654eb,
+            0x871e1cf9fee92fe4,
+            0x519aa76204eb5572,
+            0xbaf5e6a880942fab,
+            0xd70fd55c4c8c9b89,
+            0x1fcd907259d97677,
+            0x400344f8b5e3144e,
+            0xdfd90275f63bd131,
+            0xb2dae13d4890ddf7,
+            0xb4f20fee55378bd4,
+            0xe59b38af140dafaa,
+            0xeddbf201cc9cc859,
+            0xd382d4a1655c6f4e,
+            0x8163e73d91582fd0,
+            0x315ae967517ff50c,
+            0xc38c207ef699fa42,
+            0x2ac96f2bcb8ffb03,
         ]
     );
 }
