@@ -1007,6 +1007,55 @@ mod tests {
     }
 
     #[test]
+    fn an_origin_killed_while_its_general_round_waits_applies_the_op_once() {
+        use homeo_lang::database::Database;
+        use homeo_lang::programs;
+        use homeo_protocol::{Loc, ProgramBundle};
+
+        let mut cluster = sim(2, SimNetConfig::reliable(2, 50));
+        let txns = [
+            programs::micro_order_for_item(0, 10),
+            programs::micro_order_for_item(1, 10),
+        ];
+        let loc = Loc::from_pairs([(stock(0), 0usize), (stock(1), 1usize)]);
+        let initial = Database::from_pairs([(stock(0), 5), (stock(1), 5)]);
+        let bundle = ProgramBundle::from_transactions(&txns, &loc, &initial, None);
+        assert_eq!(cluster.register_program(&bundle), 2);
+        // Site 1's order violates its local treaty, so the op waits on a
+        // general round at the coordinator. Deliver by hand until site 1
+        // has handled the client frame, then kill it before the round runs.
+        cluster.submit(1, SiteOp::Transaction { index: 1 });
+        loop {
+            let (from, to, frame) = cluster
+                .transport
+                .next_delivery()
+                .expect("the submit must reach site 1");
+            let msg = Message::decode(&frame).expect("well-formed");
+            let submit = to == 1 && matches!(msg, Message::Submit { .. });
+            let mut out = Vec::new();
+            cluster.workers[to].handle(from, msg, &mut out);
+            for (dest, msg) in out {
+                let encoded = msg.encode();
+                cluster.transport.send(to, dest, encoded);
+            }
+            if submit {
+                break;
+            }
+        }
+        cluster.kill(1);
+        cluster.restart(1);
+        cluster.run_until_quiescent();
+        let outcomes = cluster.workers[1].take_completed();
+        assert_eq!(outcomes.len(), 1, "one outcome per submitted op");
+        assert!(outcomes[0].committed && outcomes[0].synchronized);
+        cluster.synchronize(0);
+        // Serially, one order takes stock[1] from 5 to 4.
+        for site in 0..2 {
+            assert_eq!(cluster.value_at(site, &stock(1)), 4, "site {site}");
+        }
+    }
+
+    #[test]
     fn a_site_joins_under_faults_and_conservation_holds() {
         // Build the net over 4 sites, start with 3: the join grows into the
         // spare row of the five-datacenter geometry.

@@ -79,13 +79,17 @@
 //! Sites are killed between coordination rounds (fail-stop, not
 //! fail-mid-commit): the harness asserts the victim coordinates no active
 //! round, which the head-of-line client queue makes the common state.
+//! An origin may be killed while its general transaction waits on a round:
+//! a transaction that violates the local treaty aborts before commit, so
+//! the origin's WAL holds nothing of it, and the round's re-run after the
+//! fold is its one execution.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
-use homeo_protocol::exec::run_on_engine;
+use homeo_protocol::exec::{run_on_engine, ExecError, ExecStatus};
 use homeo_protocol::{
     negotiate_allowances_cached, NegotiationCache, ProgramBundle, ProgramSet, ReplicatedMode,
     ReplicatedStats, Roster, SyncTuning, WorkloadHints,
@@ -1187,71 +1191,46 @@ impl SiteWorker {
     // General transactions (the full L++ pipeline)
     // ------------------------------------------------------------------
 
-    /// Executes one registered general transaction at the head of the line.
-    /// Within its local treaty the transaction commits against this site's
-    /// engine with no messages (Section 3.2's disconnected execution); a
-    /// treaty violation undoes the writes and hands the transaction to the
-    /// [`GENERAL_COORDINATOR`] for a freeze → fold → re-run → renegotiate
-    /// round. Returns `false` when the operation is now waiting on that
-    /// round (the pump must stop), `true` when it completed.
+    /// Executes one registered general transaction at the head of the line
+    /// through [`ProgramSet::run_local`]: it commits against this site's
+    /// engine with no messages (Section 3.2's disconnected execution) only
+    /// if the local treaty holds on its post-state. A violation aborts the
+    /// engine transaction before commit, so nothing of it is applied or
+    /// logged, and hands it to the [`GENERAL_COORDINATOR`] for a freeze →
+    /// fold → re-run → renegotiate round. Returns `false` when the
+    /// operation is now waiting on that round (the pump must stop), `true`
+    /// when it completed.
     #[inline(never)] // keeps the general path out of the counter pump's loop body
     fn run_general_transaction(&mut self, index: usize, out: &mut Outbox) -> bool {
-        let Some(programs) = &self.programs else {
-            // No program registered: typed rejection, never a panic — wire
-            // batches are untrusted.
-            self.completed.push(OpOutcome::unsupported());
-            return true;
+        // No program registered, an out-of-range index, or a transaction
+        // whose write set another site holds: typed rejection, never a
+        // panic — wire batches are untrusted.
+        let result = match &self.programs {
+            Some(programs) => programs.run_local(self.site, &self.engine, index),
+            None => Err(ExecError::NotHome(index)),
         };
-        match programs.home_site(index) {
-            Some(home) if home == self.site => {}
-            _ => {
-                // Out-of-range index, or a confused client submitted the
-                // transaction to a site that does not hold its write set
-                // (Assumption 3.1 makes that an unroutable operation).
-                self.completed.push(OpOutcome::unsupported());
-                return true;
-            }
-        }
-        let txn = &programs.transactions()[index];
-        // Pre-images of the may-write set, for the violation rollback.
-        let pre: Vec<(ObjId, i64)> = txn
-            .write_set()
-            .iter()
-            .map(|obj| (obj.clone(), self.engine.peek(obj.as_str())))
-            .collect();
-        let result = match run_on_engine(&self.engine, txn, &[]) {
-            Ok(result) => result,
-            Err(_) => {
-                self.completed.push(OpOutcome::unsupported());
-                return true;
-            }
-        };
-        if !result.committed {
+        match result.map(|result| result.status) {
+            Err(_) => self.completed.push(OpOutcome::unsupported()),
             // Aborted by local concurrency control: an uncommitted no-op.
-            self.completed.push(OpOutcome::default());
-            return true;
+            Ok(ExecStatus::Conflict) => self.completed.push(OpOutcome::default()),
+            Ok(ExecStatus::Committed) => {
+                self.stats.local_commits += 1;
+                self.completed.push(OpOutcome::local_commit());
+            }
+            Ok(ExecStatus::Refused) => {
+                let req = self.fresh_req();
+                self.waiting = Some(req);
+                out.push((
+                    GENERAL_COORDINATOR,
+                    Message::ProgramSync {
+                        req,
+                        txn: Some(index as u64),
+                    },
+                ));
+                return false;
+            }
         }
-        // Only the objects the local treaty mentions are read.
-        if programs.local_holds_with(self.site, |name| self.engine.peek(name)) {
-            self.stats.local_commits += 1;
-            self.completed.push(OpOutcome::local_commit());
-            return true;
-        }
-        // Treaty violation: undo the offending writes (the re-run after the
-        // fold is the committed execution) and wait for the round.
-        for (obj, value) in pre {
-            self.engine.poke(obj.as_str(), value);
-        }
-        let req = self.fresh_req();
-        self.waiting = Some(req);
-        out.push((
-            GENERAL_COORDINATOR,
-            Message::ProgramSync {
-                req,
-                txn: Some(index as u64),
-            },
-        ));
-        false
+        true
     }
 
     /// The authoritative values of the program objects located at this site
@@ -1386,8 +1365,8 @@ impl SiteWorker {
         };
         if let Some(index) = txn {
             if let Some(t) = programs.transactions().get(index as usize) {
-                if let Ok(result) = run_on_engine(&self.engine, t, &[]) {
-                    if result.committed {
+                if let Ok(result) = run_on_engine(&self.engine, t, &[], |_| true) {
+                    if result.status == ExecStatus::Committed {
                         for (obj, value) in &result.writes {
                             global.set(obj.clone(), *value);
                         }

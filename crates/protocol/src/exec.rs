@@ -5,6 +5,9 @@
 //! transaction or a partially evaluated row against its local
 //! [`homeo_store::Engine`] inside an engine transaction, so that local
 //! concurrency control (strict 2PL) and the WAL see every read and write.
+//! The transaction's writes stay staged until an `admit` check on them
+//! passes (Section 3.2's pre-commit treaty check); a refused transaction
+//! aborts, so nothing of it is applied or logged.
 
 use std::collections::BTreeMap;
 
@@ -17,11 +20,22 @@ use homeo_store::{Engine, EngineError, TxnHandle};
 pub struct ExecResult {
     /// The values printed, in order.
     pub log: Vec<i64>,
-    /// The objects written with their new values.
+    /// The objects written with their new values (staged only, unless the
+    /// transaction committed).
     pub writes: BTreeMap<ObjId, i64>,
-    /// Whether the transaction committed (false: it was aborted because of a
-    /// lock conflict).
-    pub committed: bool,
+    /// How the engine transaction ended.
+    pub status: ExecStatus,
+}
+
+/// How an engine transaction ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecStatus {
+    /// Its writes were applied and logged.
+    Committed,
+    /// A lock conflict aborted it (the caller decides whether to retry).
+    Conflict,
+    /// `admit` refused its staged writes, so it aborted.
+    Refused,
 }
 
 /// Errors from engine-backed execution.
@@ -31,6 +45,9 @@ pub enum ExecError {
     Engine(EngineError),
     /// A temporary variable or parameter was unbound.
     Unbound(String),
+    /// The transaction index is not registered, or the transaction's home
+    /// is another site (Assumption 3.1).
+    NotHome(usize),
 }
 
 impl std::fmt::Display for ExecError {
@@ -38,6 +55,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Engine(e) => write!(f, "engine error: {e}"),
             ExecError::Unbound(v) => write!(f, "unbound variable `{v}`"),
+            ExecError::NotHome(i) => write!(f, "transaction {i} is not registered at this site"),
         }
     }
 }
@@ -123,13 +141,15 @@ impl ExecCtx<'_> {
 }
 
 /// Executes `txn` with positional `args` against `engine` inside a fresh
-/// engine transaction. Lock conflicts abort the transaction and are reported
-/// through `committed: false` in the result (the caller decides whether to
-/// retry).
+/// engine transaction. Once the body has run, `admit` sees the staged
+/// writes: it commits the transaction by returning `true` and aborts it by
+/// returning `false`. Lock conflicts abort too; both are reported through
+/// [`ExecResult::status`].
 pub fn run_on_engine(
     engine: &Engine,
     txn: &Transaction,
     args: &[i64],
+    admit: impl FnOnce(&BTreeMap<ObjId, i64>) -> bool,
 ) -> Result<ExecResult, ExecError> {
     let mut handle = engine.begin();
     let params: BTreeMap<ParamId, i64> = txn
@@ -157,13 +177,18 @@ pub fn run_on_engine(
     };
     match ctx.com(&txn.body) {
         Ok(()) => {
-            let log = std::mem::take(&mut ctx.log);
-            let writes = std::mem::take(&mut ctx.writes);
-            engine.commit(&mut handle)?;
+            let ExecCtx { log, writes, .. } = ctx;
+            let status = if admit(&writes) {
+                engine.commit(&mut handle)?;
+                ExecStatus::Committed
+            } else {
+                engine.abort(&mut handle)?;
+                ExecStatus::Refused
+            };
             Ok(ExecResult {
                 log,
                 writes,
-                committed: true,
+                status,
             })
         }
         Err(ExecError::Engine(EngineError::WouldBlock { .. })) => {
@@ -171,7 +196,7 @@ pub fn run_on_engine(
             Ok(ExecResult {
                 log: Vec::new(),
                 writes: BTreeMap::new(),
-                committed: false,
+                status: ExecStatus::Conflict,
             })
         }
         Err(e) => {
@@ -192,8 +217,8 @@ mod tests {
         engine.poke("x", 10);
         engine.poke("y", 13);
         let txn = programs::t1();
-        let result = run_on_engine(&engine, &txn, &[]).unwrap();
-        assert!(result.committed);
+        let result = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
+        assert_eq!(result.status, ExecStatus::Committed);
         assert_eq!(engine.peek("x"), 9);
         assert_eq!(result.writes.get(&ObjId::new("x")), Some(&9));
 
@@ -209,11 +234,11 @@ mod tests {
         let engine = Engine::new();
         engine.poke("stock[5]", 3);
         let txn = programs::micro_order_for_item(5, 100);
-        let r = run_on_engine(&engine, &txn, &[]).unwrap();
-        assert!(r.committed);
+        let r = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
+        assert_eq!(r.status, ExecStatus::Committed);
         assert_eq!(engine.peek("stock[5]"), 2);
         // Wrong arity is an error, not a silent misbinding.
-        let err = run_on_engine(&engine, &txn, &[1]).unwrap_err();
+        let err = run_on_engine(&engine, &txn, &[1], |_| true).unwrap_err();
         assert!(matches!(err, ExecError::Unbound(_)));
     }
 
@@ -225,8 +250,8 @@ mod tests {
         let blocker = engine.begin();
         engine.write(&blocker, "x", 99).unwrap();
         let txn = programs::remote_write_example();
-        let result = run_on_engine(&engine, &txn, &[]).unwrap();
-        assert!(!result.committed);
+        let result = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
+        assert_eq!(result.status, ExecStatus::Conflict);
         // The blocked transaction left no trace.
         assert_eq!(engine.peek("x"), 1);
     }
@@ -239,7 +264,32 @@ mod tests {
             "logger",
             seq([print(num(1)), write("a", num(5)), print(read("a"))]),
         );
-        let r = run_on_engine(&engine, &txn, &[]).unwrap();
+        let r = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
         assert_eq!(r.log, vec![1, 5]);
+    }
+
+    #[test]
+    fn a_refused_transaction_leaves_no_write_in_memory_or_in_the_log() {
+        let txn = programs::micro_order_for_item(0, 10);
+        let stock = "stock[0]";
+        for admitted in [false, true] {
+            let engine = Engine::new();
+            engine.write_logged(stock, 5).unwrap();
+            let r = run_on_engine(&engine, &txn, &[], |writes| {
+                assert_eq!(writes.get(&ObjId::new(stock)), Some(&4), "staged");
+                assert_eq!(engine.peek(stock), 5, "not yet applied");
+                admitted
+            })
+            .unwrap();
+            let (status, expected) = if admitted {
+                (ExecStatus::Committed, 4)
+            } else {
+                (ExecStatus::Refused, 5)
+            };
+            assert_eq!(r.status, status);
+            assert_eq!(engine.peek(stock), expected);
+            let replayed = Engine::reopen_from_frame(&engine.wal_frame()).unwrap();
+            assert_eq!(replayed.peek(stock), expected, "admitted={admitted}");
+        }
     }
 }

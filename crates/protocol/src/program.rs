@@ -34,7 +34,9 @@ use homeo_lang::ast::{BExp, Transaction};
 use homeo_lang::database::Database;
 use homeo_lang::ids::ObjId;
 use homeo_sim::Timer;
+use homeo_store::Engine;
 
+use crate::exec::{run_on_engine, ExecError, ExecResult};
 use crate::model::{Loc, SiteId};
 use crate::optimizer::{optimize_timed, OptimizerConfig};
 use crate::templates::{GuardTemplate, TreatyTemplates};
@@ -134,6 +136,8 @@ pub struct ProgramSet {
     /// The joint-table rows negotiated from so far, compiled on first hit
     /// (never eagerly: the table has `2^K` rows and a run visits a few).
     compiled: BTreeMap<usize, CompiledRow>,
+    /// Each transaction's home: the site holding its write set.
+    homes: Vec<SiteId>,
     loc: Loc,
     optimizer: Option<OptimizerConfig>,
     treaties: TreatyTable,
@@ -181,28 +185,18 @@ impl ProgramSet {
             }
             transactions.push(txn);
         }
-        let loc = bundle.loc();
-        for (i, txn) in transactions.iter().enumerate() {
-            let site = Self::write_site(txn, &loc);
-            if !loc.all_writes_local(txn, site) {
-                return Err(format!(
-                    "program {i} (`{}`) writes objects on multiple sites (Assumption 3.1)",
-                    txn.name
-                ));
-            }
-        }
-        Ok(Self::build(
+        Self::build(
             transactions,
             bundle.sources.clone(),
-            loc,
+            bundle.loc(),
             sites,
             bundle.optimizer,
-        ))
+        )
     }
 
     /// Builds a program set directly from parsed transactions (the serial
-    /// oracle's path; trusted input, so Assumption 3.1 is debug-asserted at
-    /// execution time rather than checked here).
+    /// oracle's path; trusted input, so a program that breaks Assumption
+    /// 3.1 panics).
     pub fn from_transactions(
         transactions: Vec<Transaction>,
         loc: Loc,
@@ -214,7 +208,7 @@ impl ProgramSet {
             "the general protocol requires parameterless (pre-instantiated) transactions"
         );
         let sources = transactions.iter().map(printable_source).collect();
-        Self::build(transactions, sources, loc, sites, optimizer)
+        Self::build(transactions, sources, loc, sites, optimizer).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn build(
@@ -223,27 +217,31 @@ impl ProgramSet {
         loc: Loc,
         sites: usize,
         optimizer: Option<OptimizerConfig>,
-    ) -> Self {
+    ) -> Result<Self, String> {
+        let mut homes = Vec::with_capacity(transactions.len());
+        for (i, txn) in transactions.iter().enumerate() {
+            let home = txn.write_set().first().map_or(0, |o| loc.site_of(o));
+            if !loc.all_writes_local(txn, home) {
+                return Err(format!(
+                    "program {i} (`{}`) writes objects on multiple sites (Assumption 3.1)",
+                    txn.name
+                ));
+            }
+            homes.push(home);
+        }
         let tables: Vec<SymbolicTable> = transactions.iter().map(SymbolicTable::analyze).collect();
         let joint = JointSymbolicTable::build(&tables);
-        ProgramSet {
+        Ok(ProgramSet {
             transactions,
             sources,
             joint,
             compiled: BTreeMap::new(),
+            homes,
             loc,
             optimizer,
             treaties: TreatyTable::new(sites),
             sites,
-        }
-    }
-
-    fn write_site(txn: &Transaction, loc: &Loc) -> SiteId {
-        txn.write_set()
-            .iter()
-            .next()
-            .map(|o| loc.site_of(o))
-            .unwrap_or(0)
+        })
     }
 
     /// Number of registered transactions.
@@ -284,14 +282,34 @@ impl ProgramSet {
     /// The site a transaction runs on: the site holding its write set
     /// (Assumption 3.1). `None` for an out-of-range index.
     pub fn home_site(&self, index: usize) -> Option<SiteId> {
-        let txn = self.transactions.get(index)?;
-        let site = Self::write_site(txn, &self.loc);
-        debug_assert!(
-            self.loc.all_writes_local(txn, site),
-            "transaction {} violates Assumption 3.1",
-            txn.name
-        );
-        Some(site)
+        self.homes.get(index).copied()
+    }
+
+    /// Runs transaction `index` at `site` and checks `site`'s local treaty
+    /// on its post-state *before* commit (Section 3.2): the check reads the
+    /// transaction's staged write of an object where there is one and
+    /// `engine`'s committed value otherwise. A violation aborts the engine
+    /// transaction ([`crate::exec::ExecStatus::Refused`]), so nothing of it
+    /// is applied or logged and the caller synchronizes before re-running
+    /// it. Errs with [`ExecError::NotHome`] unless `site` is the
+    /// transaction's home.
+    pub fn run_local(
+        &self,
+        site: SiteId,
+        engine: &Engine,
+        index: usize,
+    ) -> Result<ExecResult, ExecError> {
+        if self.home_site(index) != Some(site) {
+            return Err(ExecError::NotHome(index));
+        }
+        run_on_engine(engine, &self.transactions[index], &[], |writes| {
+            self.local_holds_with(site, |name| {
+                writes
+                    .get(name)
+                    .copied()
+                    .unwrap_or_else(|| engine.peek(name))
+            })
+        })
     }
 
     /// Whether `site`'s local treaty holds on its current view.
@@ -520,6 +538,52 @@ mod tests {
             assert_eq!(holds, set.local_holds(site, &db));
             assert_eq!(asked, [["x"], ["y"]][site], "site {site}");
         }
+    }
+
+    #[test]
+    fn run_local_aborts_a_violation_before_commit() {
+        use crate::exec::ExecStatus;
+        let bundle = ProgramBundle {
+            optimizer: Some(OptimizerConfig::default()),
+            ..example_bundle()
+        };
+        let db = Database::from_pairs([("x", 10), ("y", 13)]);
+        let mut set = ProgramSet::from_bundle(&bundle, 2).unwrap();
+        set.negotiate(&db, Timer::fixed_zero());
+        let engine = Engine::new();
+        for (obj, value) in db.iter() {
+            engine.write_logged(obj.as_str(), value).unwrap();
+        }
+        // t1 runs where x lives; an unknown index runs nowhere.
+        assert_eq!(set.run_local(1, &engine, 0), Err(ExecError::NotHome(0)));
+        assert_eq!(set.run_local(0, &engine, 2), Err(ExecError::NotHome(2)));
+        // t1 decrements x within site 0's treaty until one more would
+        // break it: that run aborts and leaves memory and log as they were.
+        let mut commits = 0;
+        let refused = loop {
+            let (before, log_len) = (engine.snapshot(), engine.wal_len());
+            let result = set.run_local(0, &engine, 0).unwrap();
+            if result.status == ExecStatus::Refused {
+                assert_eq!(engine.snapshot(), before);
+                let replayed = Engine::reopen_from_frame(&engine.wal_frame()).unwrap();
+                assert_eq!(replayed.snapshot(), before);
+                assert_eq!(engine.wal_len(), log_len + 2, "Begin and Abort only");
+                break result;
+            }
+            assert_eq!(result.status, ExecStatus::Committed);
+            assert!(set.local_holds_with(0, |name| engine.peek(name)));
+            commits += 1;
+            assert!(commits < 100, "t1 never left the treaty");
+        };
+        assert!(commits > 0, "the treaty leaves t1 some slack");
+        let post = |name: &str| {
+            refused
+                .writes
+                .get(name)
+                .copied()
+                .unwrap_or(engine.peek(name))
+        };
+        assert!(!set.local_holds_with(0, post));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use homeo_lang::ids::ObjId;
 use homeo_sim::Timer;
 use homeo_store::Engine;
 
-use crate::exec::{run_on_engine, ExecError};
+use crate::exec::{run_on_engine, ExecError, ExecStatus};
 use crate::model::{Loc, SiteId};
 use crate::optimizer::OptimizerConfig;
 use crate::program::ProgramSet;
@@ -190,97 +190,45 @@ impl HomeostasisCluster {
         db
     }
 
-    /// The (possibly stale) view a given site currently has.
-    pub fn site_view(&self, site: SiteId) -> Database {
-        Database::from_pairs(self.sites[site].snapshot())
-    }
-
-    /// Executes a transaction through the protocol.
+    /// Executes a transaction through the protocol. It runs at its home
+    /// site through [`ProgramSet::run_local`], which commits it only if the
+    /// site's local treaty holds on its post-state. On a violation the
+    /// engine transaction aborts, so nothing was applied, and the cleanup
+    /// phase synchronizes, re-runs the transaction at every site and
+    /// negotiates the next round's treaties.
     pub fn execute(&mut self, txn_index: usize) -> Result<TxnOutcome, ExecError> {
         let site = self.home_site(txn_index);
-        let txn = self.programs.transactions()[txn_index].clone();
-        let engine = &self.sites[site];
-        let result = run_on_engine(engine, &txn, &[])?;
-        if !result.committed {
-            self.stats.cc_aborts += 1;
-            return Ok(TxnOutcome {
-                committed: false,
-                synchronized: false,
-                comm_rounds: 0,
-                solver_micros: 0,
-            });
-        }
-        // Pre-commit check (performed here right after the engine commit;
-        // the engine state is rolled back via compensating pokes when the
-        // treaty is violated, which is equivalent to aborting before commit
-        // since the protocol immediately re-runs the transaction after
-        // synchronization).
-        let engine = &self.sites[site];
-        if self
+        let result = self
             .programs
-            .local_holds_with(site, |name| engine.peek(name))
-        {
-            self.stats.local_commits += 1;
-            self.history.push(CommittedRecord {
-                site,
-                txn_index,
-                log: result.log,
-            });
-            return Ok(TxnOutcome {
-                committed: true,
-                synchronized: false,
-                comm_rounds: 0,
-                solver_micros: 0,
-            });
-        }
-
-        // Treaty violation: undo the offending writes locally, then run the
-        // cleanup phase.
-        for obj in result.writes.keys() {
-            let previous = if self.programs.loc().site_of(obj) == site {
-                // Local objects: recover the pre-transaction value from the
-                // round-start snapshot plus committed history (simplest: take
-                // it from the authoritative pre-violation global database).
-                self.global_database_excluding(site, obj)
-            } else {
-                self.site_view(site).get(obj)
-            };
-            self.sites[site].poke(obj.as_str(), previous);
-        }
-        self.stats.violations += 1;
-        let solver_micros = self.cleanup(txn_index);
-        self.stats.local_commits += 1;
-        Ok(TxnOutcome {
+            .run_local(site, &self.sites[site], txn_index)?;
+        let mut outcome = TxnOutcome {
             committed: true,
-            synchronized: true,
-            comm_rounds: 2,
-            solver_micros,
-        })
-    }
-
-    /// Recovers the committed value of a local object at `site` before the
-    /// violating transaction wrote it: replay the round history for that
-    /// object on top of the round-start state.
-    fn global_database_excluding(&self, site: SiteId, obj: &ObjId) -> i64 {
-        // The round history already reflects all committed writes; the
-        // violating transaction's writes were staged on the engine only. The
-        // committed value is whatever the engine held before — which equals
-        // the value obtained by replaying committed transactions. Since the
-        // engine has already been overwritten, recompute by serial replay.
-        let mut db = self.round_start.clone();
-        for record in &self.history {
-            if record.site != site {
-                continue;
+            synchronized: false,
+            comm_rounds: 0,
+            solver_micros: 0,
+        };
+        match result.status {
+            ExecStatus::Conflict => {
+                self.stats.cc_aborts += 1;
+                outcome.committed = false;
             }
-            let txn = &self.programs.transactions()[record.txn_index];
-            // Replay against the site view semantics: local objects from db,
-            // remote objects from the round-start snapshot (they have not
-            // changed locally).
-            if let Ok(out) = homeo_lang::Evaluator::eval(txn, &db, &[]) {
-                db = out.database;
+            ExecStatus::Committed => {
+                self.stats.local_commits += 1;
+                self.history.push(CommittedRecord {
+                    site,
+                    txn_index,
+                    log: result.log,
+                });
+            }
+            ExecStatus::Refused => {
+                self.stats.violations += 1;
+                outcome.synchronized = true;
+                outcome.comm_rounds = 2;
+                outcome.solver_micros = self.cleanup(txn_index);
+                self.stats.local_commits += 1;
             }
         }
-        db.get(obj)
+        Ok(outcome)
     }
 
     /// Forces a synchronization outside the cleanup path: every site
@@ -318,15 +266,16 @@ impl HomeostasisCluster {
         }
         // 2. Run the violating transaction at every site (deterministic, so
         //    every site reaches the same state); record its log once.
-        let txn = self.programs.transactions()[violating_txn].clone();
+        let site = self.home_site(violating_txn);
+        let txn = &self.programs.transactions()[violating_txn];
         let mut recorded = false;
-        for engine in self.sites.iter() {
-            if let Ok(result) = run_on_engine(engine, &txn, &[]) {
-                if !recorded && result.committed {
+        for engine in &self.sites {
+            if let Ok(result) = run_on_engine(engine, txn, &[], |_| true) {
+                if !recorded && result.status == ExecStatus::Committed {
                     self.history.push(CommittedRecord {
-                        site: self.home_site(violating_txn),
+                        site,
                         txn_index: violating_txn,
-                        log: result.log.clone(),
+                        log: result.log,
                     });
                     recorded = true;
                 }

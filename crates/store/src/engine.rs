@@ -229,14 +229,18 @@ impl Engine {
     // Non-transactional object access (population, snapshots, sync)
     // ------------------------------------------------------------------
 
-    /// Reads an object outside any transaction (used for population and by
+    /// Reads an object outside any transaction (used for population, by
     /// the protocol's synchronization phase, which runs when no transactions
-    /// are active).
+    /// are active, and by the pre-commit treaty check for the objects the
+    /// checked transaction did not write).
     pub fn peek(&self, object: &str) -> i64 {
         self.lock().objects.get(object).copied().unwrap_or(0)
     }
 
-    /// Writes an object outside any transaction.
+    /// Writes an object outside any transaction and outside the WAL: for
+    /// seeding only (population and fixtures, before any transaction
+    /// runs). The write is lost on [`Engine::crash_and_recover`]; state
+    /// that must survive a crash goes through [`Engine::write_logged`].
     pub fn poke(&self, object: &str, value: i64) {
         let mut inner = self.lock();
         if value == 0 {
