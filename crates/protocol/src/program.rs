@@ -558,15 +558,14 @@ mod tests {
         assert_eq!(set.run_local(1, &engine, 0), Err(ExecError::NotHome(0)));
         assert_eq!(set.run_local(0, &engine, 2), Err(ExecError::NotHome(2)));
         // t1 decrements x within site 0's treaty until one more would
-        // break it: that run aborts and leaves memory and log as they were.
+        // break it: the check reads that staged post-state, and the run
+        // aborts with memory as it was and only Begin/Abort logged.
         let mut commits = 0;
         let refused = loop {
             let (before, log_len) = (engine.snapshot(), engine.wal_len());
             let result = set.run_local(0, &engine, 0).unwrap();
             if result.status == ExecStatus::Refused {
                 assert_eq!(engine.snapshot(), before);
-                let replayed = Engine::reopen_from_frame(&engine.wal_frame()).unwrap();
-                assert_eq!(replayed.snapshot(), before);
                 assert_eq!(engine.wal_len(), log_len + 2, "Begin and Abort only");
                 break result;
             }
