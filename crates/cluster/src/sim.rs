@@ -944,6 +944,62 @@ mod tests {
     }
 
     #[test]
+    fn a_site_killed_after_two_checkpoints_restarts_to_its_pre_kill_state() {
+        // Site 1 logs over three checkpoint thresholds' worth of records in
+        // local orders and increments, so its WAL folds at least twice (each
+        // fold drops at most one threshold plus one transaction), then
+        // crashes: the image plus the suffix must restore exactly what it
+        // held, and the folded totals must conserve.
+        use homeo_store::engine::CHECKPOINT_RECORDS;
+        let mut cluster = sim(2, SimNetConfig::reliable(2, 50));
+        let initial = 10_000_000;
+        cluster.register(stock(0), initial, 0);
+        cluster.register(stock(1), initial, 0);
+        // stock(2) is written before the first checkpoint only, so after it
+        // only the image holds site 1's value.
+        cluster.register(stock(2), 100, 0);
+        for _ in 0..5 {
+            let order = SiteOp::Order {
+                obj: stock(2),
+                amount: 1,
+                refill_to: None,
+            };
+            assert!(cluster.execute(1, order).committed);
+        }
+        let batch: Vec<SiteOp> = (0..64)
+            .map(|i| match i % 2 {
+                0 => SiteOp::Order {
+                    obj: stock(0),
+                    amount: 1,
+                    refill_to: None,
+                },
+                _ => SiteOp::Increment {
+                    obj: stock(1),
+                    amount: 2,
+                },
+            })
+            .collect();
+        let batches = 1_100;
+        for _ in 0..batches {
+            let outcomes = cluster.submit_batch(1, &batch);
+            assert!(outcomes.iter().all(|o| o.committed));
+        }
+        let engine = cluster.engine(1);
+        // Each local commit logs a Begin, a Write and a Commit.
+        assert!(3 * engine.committed_count() as usize >= 3 * CHECKPOINT_RECORDS);
+        assert!(engine.wal_len() < CHECKPOINT_RECORDS);
+        let before = engine.snapshot();
+        cluster.kill(1);
+        cluster.restart(1);
+        cluster.run_until_quiescent();
+        assert_eq!(cluster.engine(1).snapshot(), before);
+        let ops = 32 * batches as i64;
+        assert_eq!(cluster.logical_value(&stock(0)), initial - ops);
+        assert_eq!(cluster.logical_value(&stock(1)), initial + 2 * ops);
+        assert_eq!(cluster.logical_value(&stock(2)), 95);
+    }
+
+    #[test]
     fn ops_submitted_while_down_execute_after_restart() {
         let mut cluster = sim(2, SimNetConfig::reliable(2, 50));
         cluster.register(stock(0), 50, 1);

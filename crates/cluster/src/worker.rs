@@ -1353,11 +1353,15 @@ impl SiteWorker {
     /// all sites (and the serial oracle) derive byte-identical treaties.
     /// Returns the solver time in microseconds.
     fn apply_general_install(&mut self, txn: Option<u64>, round: u64, db: &[(ObjId, i64)]) -> u64 {
-        for (obj, value) in db {
-            self.engine
-                .write_logged(obj.as_str(), *value)
-                .expect("install runs between local transactions");
-        }
+        // One atomic logged batch of the values that changed.
+        let changed: Vec<(&str, i64)> = db
+            .iter()
+            .filter(|(obj, value)| self.engine.peek(obj.as_str()) != *value)
+            .map(|(obj, value)| (obj.as_str(), *value))
+            .collect();
+        self.engine
+            .write_logged_batch(&changed)
+            .expect("install runs between local transactions");
         let mut global = Database::from_pairs(db.iter().cloned());
         let Some(programs) = &mut self.programs else {
             self.general_frozen = false;

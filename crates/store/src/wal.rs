@@ -7,6 +7,24 @@
 //! [`Wal::recover`] rebuilds the committed object state (uncommitted
 //! transactions are discarded), after which the protocol layer can recompute
 //! its treaty tables.
+//!
+//! A database bounds its log by checkpointing: [`Wal::checkpoint`] keeps an
+//! image of the committed object state plus the highest transaction id seen
+//! so far, and drops every record. Recovery is then the image plus the
+//! suffix logged since. The engine checkpoints only when no transaction is
+//! in flight, so the image is exactly what replaying the dropped prefix
+//! would have produced; [`Wal::len`] counts the records since the last
+//! checkpoint.
+//!
+//! The binary frame ([`Wal::encode`]) is a `u32` record count followed by
+//! the records. After a checkpoint its head is the image, written as one
+//! committed transaction under the folded id `h` — `Begin{h}`, one
+//! `Write{h, object, value, previous: value}` per entry, `Commit{h}` — and
+//! the suffix follows. So [`Wal::decode`] and [`Wal::decode_prefix`] need
+//! no record type of their own for it, and a log that was never
+//! checkpointed encodes exactly as before. A tear inside the head loses the
+//! image, as a torn checkpoint file would: its `Commit{h}` is gone, so
+//! replay treats it as an in-flight transaction.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -58,9 +76,16 @@ pub struct RecoveredState {
     pub in_flight: Vec<u64>,
 }
 
-/// An append-only write-ahead log.
+/// An append-only write-ahead log whose finished prefix can be folded into
+/// a checkpoint image.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Wal {
+    /// The committed object state at the last checkpoint.
+    image: BTreeMap<String, i64>,
+    /// The highest transaction id at the last checkpoint; `None` before the
+    /// first one.
+    folded: Option<u64>,
+    /// The records logged since the last checkpoint.
     records: Vec<LogRecord>,
 }
 
@@ -76,24 +101,25 @@ impl Wal {
         self.records.len() as Lsn
     }
 
-    /// Number of records.
+    /// Number of records since the last checkpoint.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// True when the log is empty.
+    /// True when no record was logged since the last checkpoint.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Iterates over the records in append order.
+    /// Iterates over the records since the last checkpoint, in append order.
     pub fn records(&self) -> impl Iterator<Item = &LogRecord> {
         self.records.iter()
     }
 
-    /// The highest transaction id appearing anywhere in the log (0 when the
-    /// log is empty). Recovery seeds its id counter past this so fresh
-    /// transactions can never collide with logged ones.
+    /// The highest transaction id appearing anywhere in the log, the folded
+    /// prefix included (0 when nothing was ever logged). Recovery seeds its
+    /// id counter past this so fresh transactions can never collide with
+    /// logged ones.
     pub fn max_txn_id(&self) -> u64 {
         self.records
             .iter()
@@ -103,17 +129,32 @@ impl Wal {
                 | LogRecord::Abort { txn }
                 | LogRecord::Write { txn, .. } => *txn,
             })
+            .chain(self.folded)
             .max()
             .unwrap_or(0)
     }
 
-    /// Truncates the log (after a checkpoint has captured the state).
-    pub fn truncate(&mut self) {
+    /// The committed object state at the last checkpoint (empty before the
+    /// first): the baseline [`Wal::recover`] replays the records over.
+    pub fn image(&self) -> &BTreeMap<String, i64> {
+        &self.image
+    }
+
+    /// Folds the log into a checkpoint: `image` becomes the recovery
+    /// baseline, the highest transaction id seen so far is kept, and every
+    /// record is dropped. `image` must be the committed state the log
+    /// recovers to, which holds whenever no transaction is in flight — a
+    /// transaction begun before the checkpoint and committed after it would
+    /// lose its folded writes.
+    pub fn checkpoint(&mut self, image: BTreeMap<String, i64>) {
+        self.folded = Some(self.max_txn_id());
+        self.image = image;
         self.records.clear();
     }
 
-    /// Replays the log: redo the writes of committed transactions, in commit
-    /// order, on top of `baseline` (the last checkpoint image).
+    /// Replays the records: redo the writes of committed transactions, in
+    /// commit order, on top of `baseline` (the last checkpoint image,
+    /// [`Wal::image`]).
     pub fn recover(&self, baseline: &BTreeMap<String, i64>) -> RecoveredState {
         // Outcomes are looked up once per write and per begun transaction, so
         // they are sets and replay is linear in the log; the vectors of the
@@ -158,38 +199,31 @@ impl Wal {
     }
 
     /// Serializes the log to a compact binary frame (length-prefixed
-    /// records, big-endian), the way an on-disk log writer would.
+    /// records, big-endian), the way an on-disk log writer would: the
+    /// checkpoint image as one committed transaction, then the records
+    /// since (see the module docs).
     pub fn encode(&self) -> Vec<u8> {
+        let head = self.folded.map_or(0, |_| self.image.len() + 2);
         let mut buf = Vec::new();
-        buf.extend_from_slice(&(self.records.len() as u32).to_be_bytes());
+        buf.extend_from_slice(&((head + self.records.len()) as u32).to_be_bytes());
+        if let Some(txn) = self.folded {
+            put_marker(&mut buf, 0, txn);
+            for (object, value) in &self.image {
+                put_write(&mut buf, txn, object, *value, *value);
+            }
+            put_marker(&mut buf, 1, txn);
+        }
         for r in &self.records {
             match r {
-                LogRecord::Begin { txn } => {
-                    buf.push(0);
-                    buf.extend_from_slice(&txn.to_be_bytes());
-                }
-                LogRecord::Commit { txn } => {
-                    buf.push(1);
-                    buf.extend_from_slice(&txn.to_be_bytes());
-                }
-                LogRecord::Abort { txn } => {
-                    buf.push(2);
-                    buf.extend_from_slice(&txn.to_be_bytes());
-                }
+                LogRecord::Begin { txn } => put_marker(&mut buf, 0, *txn),
+                LogRecord::Commit { txn } => put_marker(&mut buf, 1, *txn),
+                LogRecord::Abort { txn } => put_marker(&mut buf, 2, *txn),
                 LogRecord::Write {
                     txn,
                     object,
                     value,
                     previous,
-                } => {
-                    buf.push(3);
-                    buf.extend_from_slice(&txn.to_be_bytes());
-                    let name = object.as_bytes();
-                    buf.extend_from_slice(&(name.len() as u32).to_be_bytes());
-                    buf.extend_from_slice(name);
-                    buf.extend_from_slice(&value.to_be_bytes());
-                    buf.extend_from_slice(&previous.to_be_bytes());
-                }
+                } => put_write(&mut buf, *txn, object, *value, *previous),
             }
         }
         buf
@@ -216,7 +250,10 @@ impl Wal {
     fn decode_lenient(data: &[u8]) -> Option<(Wal, bool)> {
         let mut cursor = Cursor { data, pos: 0 };
         let count = cursor.u32()? as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 20));
+        let mut wal = Wal {
+            records: Vec::with_capacity(count.min(1 << 20)),
+            ..Wal::default()
+        };
         for _ in 0..count {
             let record = (|| {
                 let tag = cursor.u8()?;
@@ -242,12 +279,28 @@ impl Wal {
                 })
             })();
             match record {
-                Some(record) => records.push(record),
-                None => return Some((Wal { records }, false)),
+                Some(record) => wal.records.push(record),
+                None => return Some((wal, false)),
             }
         }
-        Some((Wal { records }, true))
+        Some((wal, true))
     }
+}
+
+/// Encodes a `Begin` (tag 0), `Commit` (1) or `Abort` (2) record.
+fn put_marker(buf: &mut Vec<u8>, tag: u8, txn: u64) {
+    buf.push(tag);
+    buf.extend_from_slice(&txn.to_be_bytes());
+}
+
+/// Encodes a `Write` record (tag 3).
+fn put_write(buf: &mut Vec<u8>, txn: u64, object: &str, value: i64, previous: i64) {
+    buf.push(3);
+    buf.extend_from_slice(&txn.to_be_bytes());
+    buf.extend_from_slice(&(object.len() as u32).to_be_bytes());
+    buf.extend_from_slice(object.as_bytes());
+    buf.extend_from_slice(&value.to_be_bytes());
+    buf.extend_from_slice(&previous.to_be_bytes());
 }
 
 /// A bounds-checked big-endian reader over a byte slice.
@@ -457,48 +510,62 @@ mod tests {
         state
     }
 
-    #[test]
-    fn seeded_logs_recover_like_the_definition() {
-        // A tiny xorshift keeps the store crate free of a dev-dependency.
-        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |bound: u64| {
+    /// A tiny xorshift keeps the store crate free of a dev-dependency:
+    /// `next(bound)` draws from `0..bound`.
+    fn xorshift(mut seed: u64) -> impl FnMut(u64) -> u64 {
+        move |bound: u64| {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed % bound
-        };
+        }
+    }
+
+    /// One random step of a seeded log, with up to six transactions open at
+    /// once and their records interleaved: begin one, write to an open one,
+    /// or end one — by a commit, an abort or (one in five) not at all, which
+    /// leaves it in flight for good. Without `abandon` that last fifth
+    /// commits too. Returns the record the step logs, if any.
+    fn random_step(
+        next: &mut impl FnMut(u64) -> u64,
+        open: &mut Vec<u64>,
+        next_txn: &mut u64,
+        abandon: bool,
+    ) -> Option<LogRecord> {
+        match next(4) {
+            0 if open.len() < 6 => {
+                *next_txn += 1 + next(3);
+                open.push(*next_txn);
+                Some(LogRecord::Begin { txn: *next_txn })
+            }
+            1 | 2 if !open.is_empty() => {
+                let txn = open[next(open.len() as u64) as usize];
+                let object = format!("o{}", next(8));
+                Some(write(txn, &object, next(100) as i64, 0))
+            }
+            3 if !open.is_empty() => {
+                let txn = open.swap_remove(next(open.len() as u64) as usize);
+                match next(5) {
+                    0 if abandon => None,
+                    1 => Some(LogRecord::Abort { txn }),
+                    _ => Some(LogRecord::Commit { txn }),
+                }
+            }
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn seeded_logs_recover_like_the_definition() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         let (mut aborted, mut in_flight, mut torn) = (0, 0, 0);
         for case in 0..200 {
-            // Up to six transactions open at once, their records interleaved;
-            // each ends in a commit, an abort or (one in five) not at all.
             let mut wal = Wal::new();
             let mut open: Vec<u64> = Vec::new();
             let mut next_txn = 0;
             for _ in 0..20 + next(120) {
-                match next(4) {
-                    0 if open.len() < 6 => {
-                        next_txn += 1 + next(3);
-                        open.push(next_txn);
-                        wal.append(LogRecord::Begin { txn: next_txn });
-                    }
-                    1 | 2 if !open.is_empty() => {
-                        let txn = open[next(open.len() as u64) as usize];
-                        let object = format!("o{}", next(8));
-                        wal.append(write(txn, &object, next(100) as i64, 0));
-                    }
-                    3 if !open.is_empty() => {
-                        let txn = open.swap_remove(next(open.len() as u64) as usize);
-                        match next(5) {
-                            0 => {}
-                            1 => {
-                                wal.append(LogRecord::Abort { txn });
-                            }
-                            _ => {
-                                wal.append(LogRecord::Commit { txn });
-                            }
-                        }
-                    }
-                    _ => {}
+                if let Some(record) = random_step(&mut next, &mut open, &mut next_txn, true) {
+                    wal.append(record);
                 }
             }
             let baseline: BTreeMap<String, i64> = (0..next(3))
@@ -528,11 +595,78 @@ mod tests {
     }
 
     #[test]
-    fn truncate_clears_the_log() {
-        let mut wal = Wal::new();
-        wal.append(LogRecord::Begin { txn: 1 });
-        assert!(!wal.is_empty());
-        wal.truncate();
-        assert!(wal.is_empty());
+    fn a_checkpoint_at_a_quiescent_point_recovers_like_the_whole_log() {
+        // The same seeded log twice: `whole` as logged, `folded` checkpointed
+        // after a prefix whose transactions all ended (the engine checkpoints
+        // only then) and the same records appended after. Both must recover
+        // alike, in memory and through the frame torn anywhere in the suffix.
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        let (mut checkpointed_open, mut empty_suffixes) = (0, 0);
+        for case in 0..100 {
+            let (mut whole, mut folded) = (Wal::new(), Wal::new());
+            let mut open: Vec<u64> = Vec::new();
+            let mut next_txn = 0;
+            let mut log = |record: LogRecord| {
+                whole.append(record.clone());
+                folded.append(record);
+            };
+            for _ in 0..next(100) {
+                if let Some(record) = random_step(&mut next, &mut open, &mut next_txn, false) {
+                    log(record);
+                }
+            }
+            checkpointed_open += open.len();
+            for txn in std::mem::take(&mut open) {
+                log(match next(4) {
+                    0 => LogRecord::Abort { txn },
+                    _ => LogRecord::Commit { txn },
+                });
+            }
+            let baseline: BTreeMap<String, i64> = (0..next(3))
+                .map(|i| (format!("o{i}"), 1_000 + i as i64))
+                .collect();
+            let image = folded.recover(&baseline).objects;
+            folded.checkpoint(image);
+            let (head, prefix_len, folded_id) =
+                (folded.encode().len(), whole.len(), whole.max_txn_id());
+            // One case in five checkpoints at the very end of the log.
+            let suffix_steps = if next(5) == 0 { 0 } else { next(30) };
+            empty_suffixes += usize::from(suffix_steps == 0);
+            for _ in 0..suffix_steps {
+                if let Some(record) = random_step(&mut next, &mut open, &mut next_txn, true) {
+                    whole.append(record.clone());
+                    folded.append(record);
+                }
+            }
+
+            let expected = whole.recover(&baseline);
+            let recovered = folded.recover(folded.image());
+            assert_eq!(recovered.objects, expected.objects, "case {case}");
+            assert_eq!(recovered.in_flight, expected.in_flight, "case {case}");
+            assert_eq!(folded.max_txn_id(), whole.max_txn_id(), "case {case}");
+
+            // Every tear at or after the head replays the image plus the
+            // suffix records that survived it.
+            let frame = folded.encode();
+            let image_records = folded.image().len() + 2;
+            for cut in head..=frame.len() {
+                let torn = Wal::decode_prefix(&frame[..cut]).expect("the header is intact");
+                let kept = torn.len() - image_records;
+                let mut uncut = Wal::new();
+                for record in whole.records().take(prefix_len + kept) {
+                    uncut.append(record.clone());
+                }
+                let (got, want) = (torn.recover(&BTreeMap::new()), uncut.recover(&baseline));
+                assert_eq!(got.objects, want.objects, "case {case}, torn at {cut}");
+                assert_eq!(got.in_flight, want.in_flight, "case {case}, torn at {cut}");
+                assert_eq!(torn.max_txn_id(), uncut.max_txn_id(), "case {case}");
+            }
+            // A tear inside the head loses the image: its commit is gone.
+            let torn = Wal::decode_prefix(&frame[..head - 1]).expect("the header is intact");
+            let lost = torn.recover(&BTreeMap::new());
+            assert!(lost.objects.is_empty(), "case {case}");
+            assert_eq!(lost.in_flight, vec![folded_id], "case {case}");
+        }
+        assert!(checkpointed_open >= 50 && empty_suffixes >= 10);
     }
 }
