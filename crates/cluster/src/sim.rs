@@ -985,8 +985,9 @@ mod tests {
             assert!(outcomes.iter().all(|o| o.committed));
         }
         let engine = cluster.engine(1);
-        // Each local commit logs a Begin, a Write and a Commit.
-        assert!(3 * engine.committed_count() as usize >= 3 * CHECKPOINT_RECORDS);
+        // Each local commit logs a Begin, a Write and a Commit, so the site
+        // logged at least three thresholds' worth of records.
+        assert!(engine.committed_count() as usize >= CHECKPOINT_RECORDS);
         assert!(engine.wal_len() < CHECKPOINT_RECORDS);
         let before = engine.snapshot();
         cluster.kill(1);
