@@ -8,24 +8,34 @@
 //! * **relational tables**, used by workload generators to populate and
 //!   inspect data the way the paper's benchmark drivers do.
 //!
-//! Object access is transactional: reads take shared locks, writes take
-//! exclusive locks (strict 2PL), updates are staged per transaction and only
-//! applied (and logged) at commit.
+//! Object access is transactional in two forms. An **open transaction**
+//! ([`Engine::begin`], then [`Engine::read`] / [`Engine::write`], then
+//! [`Engine::commit`] or [`Engine::abort`]) spans several calls, so it takes
+//! locks: reads shared, writes exclusive (strict 2PL), and its updates are
+//! staged and only applied (and logged) at commit. This is the form for
+//! multi-statement work. The **one-shot forms** ([`Engine::update_logged`],
+//! [`Engine::write_logged`], [`Engine::write_logged_batch`]) read, decide
+//! and write inside one hold of the engine mutex, so nothing can interleave
+//! with them and they are serializable without taking a lock: they only
+//! check the lock table ([`LockManager::is_locked`]) and back off when an
+//! open transaction holds an object they touch. Both forms log the same
+//! records — `Begin`, the writes, then `Commit` or `Abort` — under fresh
+//! transaction ids, and count the same commits and aborts.
 //!
-//! The log stays bounded. Right after a commit — the only point where the
-//! log has grown and the engine lock is already held — once the WAL holds
-//! at least [`CHECKPOINT_RECORDS`] records and twice as many as the object
-//! image has entries, and no transaction is in flight, the engine
-//! checkpoints ([`Wal::checkpoint`]): the WAL keeps a copy of the committed
-//! objects and drops its records. Only log length triggers it, so nothing
-//! runs at registration, install or round time, and since the bar grows
-//! with the image a checkpoint costs O(1) per logged record while memory
-//! stays O(objects). No replay is needed there — with nothing in flight,
-//! the object namespace already is the committed image. Recovery
-//! ([`Engine::crash_and_recover`], [`Engine::reopen_from_frame`]) is the
-//! image plus the suffix logged since, and [`Engine::wal_len`] counts that
-//! suffix. [`Engine::wal_frame`] writes the image at the head of the frame
-//! as one committed transaction under the highest folded id, then the
+//! The log stays bounded. Right after a transaction ends, committed or
+//! aborted — the only point where the log has grown and the engine lock is
+//! already held — once the WAL holds at least [`CHECKPOINT_RECORDS`] records
+//! and twice as many as the object image has entries, and no transaction is
+//! in flight, the engine checkpoints ([`Wal::checkpoint`]): the WAL keeps a
+//! copy of the committed objects and drops its records. Only log length
+//! triggers it, so nothing runs at registration, install or round time, and
+//! since the bar grows with the image a checkpoint costs O(1) per logged
+//! record while memory stays O(objects). No replay is needed there — with
+//! nothing in flight, the object namespace already is the committed image.
+//! Recovery ([`Engine::crash_and_recover`], [`Engine::reopen_from_frame`])
+//! is the image plus the suffix logged since, and [`Engine::wal_len`] counts
+//! that suffix. [`Engine::wal_frame`] writes the image at the head of the
+//! frame as one committed transaction under the highest folded id, then the
 //! suffix (the layout is in [`crate::wal`]).
 
 use std::collections::BTreeMap;
@@ -117,8 +127,57 @@ struct EngineInner {
 }
 
 impl EngineInner {
+    /// Hands out a fresh transaction id and logs its `Begin`.
+    fn begin_logged(&mut self) -> u64 {
+        self.next_txn += 1;
+        let id = self.next_txn;
+        self.wal.append(LogRecord::Begin { txn: id });
+        id
+    }
+
+    /// Logs `txn`'s write of `value` to `object` and applies it in place; a
+    /// key `String` is built only for an object the namespace lacks.
+    fn write_applied(&mut self, txn: u64, object: &str, value: i64) {
+        let previous = match self.objects.get_mut(object) {
+            Some(slot) => {
+                let previous = *slot;
+                if value == 0 {
+                    self.objects.remove(object);
+                } else {
+                    *slot = value;
+                }
+                previous
+            }
+            None => {
+                if value != 0 {
+                    self.objects.insert(object.to_string(), value);
+                }
+                0
+            }
+        };
+        self.wal.append(LogRecord::Write {
+            txn,
+            object: object.to_string(),
+            value,
+            previous,
+        });
+    }
+
+    /// Logs the end of `txn`, counts it, and checkpoints if due.
+    fn end_logged(&mut self, txn: u64, committed: bool) {
+        if committed {
+            self.wal.append(LogRecord::Commit { txn });
+            self.committed_count += 1;
+        } else {
+            self.wal.append(LogRecord::Abort { txn });
+            self.aborted_count += 1;
+        }
+        self.checkpoint_if_due();
+    }
+
     /// Checkpoints the WAL once it is long enough and no transaction is in
-    /// flight (see the module docs); called right after each commit.
+    /// flight (see the module docs); called right after each transaction
+    /// ends, committed or aborted.
     fn checkpoint_if_due(&mut self) {
         if self.wal.len() >= CHECKPOINT_RECORDS.max(2 * self.objects.len())
             && self.transactions.is_empty()
@@ -156,10 +215,8 @@ impl Engine {
     /// Begins a transaction.
     pub fn begin(&self) -> TxnHandle {
         let mut inner = self.lock();
-        inner.next_txn += 1;
-        let id = inner.next_txn;
+        let id = inner.begin_logged();
         inner.transactions.insert(id, TxnState::default());
-        inner.wal.append(LogRecord::Begin { txn: id });
         TxnHandle {
             id,
             status: TxnStatus::Active,
@@ -216,25 +273,10 @@ impl Engine {
             .remove(&txn.id)
             .ok_or(EngineError::NotActive)?;
         for (object, value) in &state.staged {
-            let previous = inner.objects.get(object).copied().unwrap_or(0);
-            inner.wal.append(LogRecord::Write {
-                txn: txn.id,
-                object: object.clone(),
-                value: *value,
-                previous,
-            });
-        }
-        inner.wal.append(LogRecord::Commit { txn: txn.id });
-        for (object, value) in state.staged {
-            if value == 0 {
-                inner.objects.remove(&object);
-            } else {
-                inner.objects.insert(object, value);
-            }
+            inner.write_applied(txn.id, object, *value);
         }
         inner.locks.release_all(txn.id);
-        inner.committed_count += 1;
-        inner.checkpoint_if_due();
+        inner.end_logged(txn.id, true);
         txn.status = TxnStatus::Committed;
         Ok(())
     }
@@ -244,9 +286,8 @@ impl Engine {
         let mut inner = self.lock();
         Self::ensure_active(&inner, txn)?;
         inner.transactions.remove(&txn.id);
-        inner.wal.append(LogRecord::Abort { txn: txn.id });
         inner.locks.release_all(txn.id);
-        inner.aborted_count += 1;
+        inner.end_logged(txn.id, false);
         txn.status = TxnStatus::Aborted;
         Ok(())
     }
@@ -284,32 +325,51 @@ impl Engine {
         }
     }
 
-    /// Writes `value` to `object` through a fresh logged transaction — the
-    /// one-shot form of begin/write/commit used for population writes and
-    /// for installing synchronized state (both run when the caller knows no
-    /// conflicting transaction is in flight). Unlike [`Engine::poke`], the
-    /// write is WAL-logged, so it survives [`Engine::crash_and_recover`].
-    pub fn write_logged(&self, object: &str, value: i64) -> Result<(), EngineError> {
-        let mut txn = self.begin();
-        match self
-            .write(&txn, object, value)
-            .and_then(|()| self.commit(&mut txn))
-        {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.abort(&mut txn).ok();
-                Err(e)
-            }
+    /// Reads `object`, lets `f` decide its new value and commits that value,
+    /// all under one engine-lock hold — the one-shot form of
+    /// begin/read/write/commit for a single-object read-modify-write (a
+    /// counter op on the treaty fast path). It takes no lock: if an open
+    /// transaction holds one on `object`, the attempt aborts with
+    /// [`EngineError::WouldBlock`] before `f` runs. `f` returning `None`
+    /// refuses the write and aborts (`Ok(false)`); `Ok(true)` means the write
+    /// committed. Either way the log holds the records the open-transaction
+    /// form would have written.
+    pub fn update_logged(
+        &self,
+        object: &str,
+        f: impl FnOnce(i64) -> Option<i64>,
+    ) -> Result<bool, EngineError> {
+        let mut inner = self.lock();
+        let id = inner.begin_logged();
+        if inner.locks.is_locked(object) {
+            inner.end_logged(id, false);
+            return Err(EngineError::WouldBlock {
+                object: object.to_string(),
+            });
         }
+        let Some(value) = f(inner.objects.get(object).copied().unwrap_or(0)) else {
+            inner.end_logged(id, false);
+            return Ok(false);
+        };
+        inner.write_applied(id, object, value);
+        inner.end_logged(id, true);
+        Ok(true)
     }
 
-    /// Writes a whole batch of objects through **one** logged transaction —
-    /// the group-commit form of [`Engine::write_logged`]. The entire batch
-    /// runs under a single engine-lock acquisition and costs one WAL
-    /// `Begin`/`Commit` cycle regardless of its size, which is what makes
-    /// the runtime's batched submission path cheaper than N one-shot
-    /// commits. The batch is atomic: if any object is locked by an in-flight
-    /// transaction, nothing is applied and the batch aborts as a unit.
+    /// Writes `value` to `object` through a fresh logged transaction — the
+    /// one-shot form of begin/write/commit used for population writes and
+    /// for installing synchronized state. Unlike [`Engine::poke`], the
+    /// write is WAL-logged, so it survives [`Engine::crash_and_recover`].
+    pub fn write_logged(&self, object: &str, value: i64) -> Result<(), EngineError> {
+        self.write_logged_batch(&[(object, value)])
+    }
+
+    /// Writes a whole batch of objects through **one** logged transaction,
+    /// under a single engine-lock hold and one WAL `Begin`/`Commit` cycle
+    /// regardless of its size. Like [`Engine::update_logged`] it takes no
+    /// lock, only checks the table: the batch is atomic, and if any object
+    /// is locked by an open transaction, nothing is applied and the batch
+    /// aborts as a unit.
     ///
     /// Later entries win when the batch names the same object twice (each
     /// write is logged, recovery replays them in order).
@@ -318,40 +378,17 @@ impl Engine {
             return Ok(());
         }
         let mut inner = self.lock();
-        inner.next_txn += 1;
-        let id = inner.next_txn;
-        inner.wal.append(LogRecord::Begin { txn: id });
-        for (object, _) in writes {
-            match inner.locks.acquire(id, object, LockMode::Exclusive) {
-                LockOutcome::Granted => {}
-                LockOutcome::WouldBlock => {
-                    inner.wal.append(LogRecord::Abort { txn: id });
-                    inner.locks.release_all(id);
-                    inner.aborted_count += 1;
-                    return Err(EngineError::WouldBlock {
-                        object: (*object).to_string(),
-                    });
-                }
-            }
+        let id = inner.begin_logged();
+        if let Some((object, _)) = writes.iter().find(|(o, _)| inner.locks.is_locked(o)) {
+            inner.end_logged(id, false);
+            return Err(EngineError::WouldBlock {
+                object: (*object).to_string(),
+            });
         }
         for (object, value) in writes {
-            let previous = inner.objects.get(*object).copied().unwrap_or(0);
-            inner.wal.append(LogRecord::Write {
-                txn: id,
-                object: (*object).to_string(),
-                value: *value,
-                previous,
-            });
-            if *value == 0 {
-                inner.objects.remove(*object);
-            } else {
-                inner.objects.insert((*object).to_string(), *value);
-            }
+            inner.write_applied(id, object, *value);
         }
-        inner.wal.append(LogRecord::Commit { txn: id });
-        inner.locks.release_all(id);
-        inner.committed_count += 1;
-        inner.checkpoint_if_due();
+        inner.end_logged(id, true);
         Ok(())
     }
 
@@ -746,6 +783,191 @@ mod tests {
         let before = engine.wal_len();
         engine.write_logged_batch(&[]).unwrap();
         assert_eq!(engine.wal_len(), before);
+    }
+
+    #[test]
+    fn refusals_and_aborts_checkpoint_too() {
+        // Refused updates and aborted transactions log Begin/Abort and
+        // nothing else; they must still fold the log, or a run of treaty
+        // violations grows it without bound.
+        let engine = Engine::new();
+        engine.write_logged("x", 5).unwrap();
+        for i in 0..2 * CHECKPOINT_RECORDS {
+            if i % 8 == 0 {
+                let mut t = engine.begin();
+                engine.abort(&mut t).unwrap();
+            } else {
+                assert_eq!(engine.update_logged("x", |_| None), Ok(false));
+            }
+        }
+        assert!(engine.wal_len() < CHECKPOINT_RECORDS);
+        assert_eq!(engine.committed_count(), 1);
+        let reopened = Engine::reopen_from_frame(&engine.wal_frame()).expect("intact frame");
+        assert_eq!(reopened.snapshot(), engine.snapshot());
+        let fresh = reopened.begin();
+        let used = 1 + 2 * CHECKPOINT_RECORDS as u64;
+        assert!(fresh.id > used, "fresh id {} was used before", fresh.id);
+    }
+
+    /// The lock-taking form of [`Engine::write_logged_batch`]: every object
+    /// is locked exclusively, the writes are logged and applied in batch
+    /// order, then the locks are released.
+    fn write_batch_locking(engine: &Engine, writes: &[(&str, i64)]) -> Result<(), EngineError> {
+        if writes.is_empty() {
+            return Ok(());
+        }
+        let mut inner = engine.lock();
+        let id = inner.begin_logged();
+        for (object, _) in writes {
+            if inner.locks.acquire(id, object, LockMode::Exclusive) == LockOutcome::WouldBlock {
+                inner.locks.release_all(id);
+                inner.end_logged(id, false);
+                return Err(EngineError::WouldBlock {
+                    object: (*object).to_string(),
+                });
+            }
+        }
+        for (object, value) in writes {
+            inner.write_applied(id, object, *value);
+        }
+        inner.locks.release_all(id);
+        inner.end_logged(id, true);
+        Ok(())
+    }
+
+    /// [`Engine::update_logged`] as an open transaction: read, take the
+    /// write lock, decide, then write and commit or abort.
+    fn update_open(
+        engine: &Engine,
+        object: &str,
+        f: impl FnOnce(i64) -> Option<i64>,
+    ) -> Result<bool, EngineError> {
+        let mut txn = engine.begin();
+        let locked = engine
+            .read(&txn, object)
+            .and_then(|v| engine.write(&txn, object, v).map(|()| v));
+        let value = match locked {
+            Ok(v) => v,
+            Err(e) => {
+                engine.abort(&mut txn).unwrap();
+                return Err(e);
+            }
+        };
+        match f(value) {
+            Some(new) => {
+                engine.write(&txn, object, new).unwrap();
+                engine.commit(&mut txn).unwrap();
+                Ok(true)
+            }
+            None => {
+                engine.abort(&mut txn).unwrap();
+                Ok(false)
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_forms_log_what_open_transactions_log() {
+        // `fast` runs the one-shot forms, `open` the same stream through
+        // open transactions, and both host the same lock holders. Every
+        // call's result, the counts, the state and the WAL bytes agree.
+        // The last case runs long enough to checkpoint.
+        const OBJECTS: [&str; 5] = ["a", "b", "c", "d", "e"];
+        let mut next = {
+            let mut seed = 0x5851_f42d_4c95_7f2du64;
+            move |bound: u64| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed % bound
+            }
+        };
+        // How often update_logged committed, refused and met a lock.
+        let mut seen = [0usize; 3];
+        for case in 0..24 {
+            let steps = if case == 23 { 40_000 } else { 400 };
+            let fast = Engine::new();
+            let open = Engine::new();
+            let mut holders: Vec<(TxnHandle, TxnHandle)> = Vec::new();
+            for step in 0..steps {
+                let object = OBJECTS[next(OBJECTS.len() as u64) as usize];
+                let value = next(7) as i64 - 1;
+                let here = format!("case {case} step {step}");
+                match next(if case == 23 { 12 } else { 9 }) {
+                    0 if holders.len() < 3 => holders.push((fast.begin(), open.begin())),
+                    1 | 2 if !holders.is_empty() => {
+                        let at = next(holders.len() as u64) as usize;
+                        let (f, o) = &holders[at];
+                        let (a, b) = if next(2) == 0 {
+                            (fast.read(f, object), open.read(o, object))
+                        } else {
+                            (
+                                fast.write(f, object, value).map(|()| 0),
+                                open.write(o, object, value).map(|()| 0),
+                            )
+                        };
+                        assert_eq!(a, b, "{here}: holder access");
+                    }
+                    3 if !holders.is_empty() => {
+                        let at = next(holders.len() as u64) as usize;
+                        let (mut f, mut o) = holders.swap_remove(at);
+                        if next(2) == 0 {
+                            fast.commit(&mut f).unwrap();
+                            open.commit(&mut o).unwrap();
+                        } else {
+                            fast.abort(&mut f).unwrap();
+                            open.abort(&mut o).unwrap();
+                        }
+                    }
+                    4 | 5 | 9 | 10 | 11 => {
+                        // Decrement above a floor (refusals), zero or bump.
+                        let kind = next(3);
+                        let f = move |v: i64| match kind {
+                            0 => Some(v - value).filter(|n| *n >= 1),
+                            1 => Some(0),
+                            _ => Some(v + value),
+                        };
+                        let a = fast.update_logged(object, f);
+                        let b = update_open(&open, object, f);
+                        assert_eq!(a, b, "{here}: update_logged");
+                        seen[match a {
+                            Ok(true) => 0,
+                            Ok(false) => 1,
+                            Err(_) => 2,
+                        }] += 1;
+                    }
+                    6 => {
+                        let mut t = open.begin();
+                        let b = open
+                            .write(&t, object, value)
+                            .and_then(|()| open.commit(&mut t));
+                        if b.is_err() {
+                            open.abort(&mut t).unwrap();
+                        }
+                        assert_eq!(fast.write_logged(object, value), b, "{here}: write_logged");
+                    }
+                    _ => {
+                        let writes: Vec<(&str, i64)> = (0..1 + next(4))
+                            .map(|_| (OBJECTS[next(3) as usize], next(5) as i64))
+                            .collect();
+                        assert_eq!(
+                            fast.write_logged_batch(&writes),
+                            write_batch_locking(&open, &writes),
+                            "{here}: write_logged_batch {writes:?}"
+                        );
+                    }
+                }
+                assert_eq!(fast.wal_len(), open.wal_len(), "{here}: log length");
+            }
+            assert_eq!(fast.snapshot(), open.snapshot(), "case {case}: state");
+            assert_eq!(fast.committed_count(), open.committed_count());
+            assert_eq!(fast.aborted_count(), open.aborted_count());
+            assert_eq!(fast.wal_frame(), open.wal_frame(), "case {case}: WAL bytes");
+            if case == 23 {
+                assert!(fast.wal_len() < 40_000, "the long case never checkpointed");
+            }
+        }
+        assert!(seen.iter().all(|n| *n > 100), "outcomes {seen:?}");
     }
 
     #[test]

@@ -94,6 +94,14 @@ impl LockManager {
             .unwrap_or(false)
     }
 
+    /// True when any transaction holds a lock on `resource` (in any mode):
+    /// the probe of a one-shot write that takes no lock of its own.
+    pub fn is_locked(&self, resource: &str) -> bool {
+        self.locks
+            .get(resource)
+            .is_some_and(|entry| !entry.shared.is_empty())
+    }
+
     /// The transactions currently blocking a request by `txn` for
     /// `resource` in `mode` (empty when the request would be granted).
     pub fn blockers(&self, txn: TxnId, resource: &str, mode: LockMode) -> Vec<TxnId> {
@@ -196,8 +204,10 @@ mod tests {
         lm.acquire(1, "x", LockMode::Exclusive);
         lm.acquire(1, "y", LockMode::Shared);
         assert_eq!(lm.locked_resources(), 2);
+        assert!(lm.is_locked("x") && lm.is_locked("y") && !lm.is_locked("z"));
         lm.release_all(1);
         assert_eq!(lm.locked_resources(), 0);
+        assert!(!lm.is_locked("x"));
         assert_eq!(
             lm.acquire(2, "x", LockMode::Exclusive),
             LockOutcome::Granted
