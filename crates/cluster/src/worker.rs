@@ -1137,13 +1137,18 @@ impl SiteWorker {
                         self.queue.push_front(SiteOp::Increment { obj, amount });
                         break;
                     }
-                    let outcome = match self.engine_rmw(&obj, |v| v + amount.abs()) {
-                        Ok(()) => {
+                    let outcome = match self
+                        .engine
+                        .update_logged(obj.as_str(), |v| Some(v + amount.abs()))
+                    {
+                        Ok(true) => {
                             self.stats.local_commits += 1;
                             OpOutcome::local_commit()
                         }
+                        Ok(false) => unreachable!("an increment always writes"),
+                        // An open transaction holds the counter.
                         Err(EngineError::WouldBlock { .. }) => OpOutcome::default(),
-                        Err(e) => panic!("counter read failed: {e}"),
+                        Err(e) => panic!("counter update failed: {e}"),
                     };
                     self.completed.push(outcome);
                 }
@@ -1430,29 +1435,24 @@ impl SiteWorker {
             .allowance_of(self.site)
             .expect("pump admits orders from members only");
         let floor = meta.base + allowance;
-        let engine = &*self.engine;
-        let mut txn = engine.begin();
-        let value = match engine.read(&txn, obj.as_str()) {
-            Ok(v) => v,
-            Err(EngineError::WouldBlock { .. }) => {
-                engine.abort(&mut txn).ok();
-                self.completed.push(OpOutcome::default());
-                return true;
+        let within = self.engine.update_logged(obj.as_str(), |value| {
+            Some(value - amount).filter(|n| *n >= floor)
+        });
+        match within {
+            Ok(true) => {
+                self.stats.local_commits += 1;
+                self.completed.push(OpOutcome::local_commit());
+                true
             }
-            Err(e) => panic!("counter read failed: {e}"),
-        };
-        let new_value = value - amount;
-        if new_value >= floor {
-            engine
-                .write(&txn, obj.as_str(), new_value)
-                .and_then(|()| engine.commit(&mut txn))
-                .expect("writer already holds the lock");
-            self.stats.local_commits += 1;
-            self.completed.push(OpOutcome::local_commit());
-            return true;
+            Ok(false) => false,
+            Err(EngineError::WouldBlock { .. }) => {
+                // An open transaction holds the counter: the order completes
+                // uncommitted rather than waiting on it.
+                self.completed.push(OpOutcome::default());
+                true
+            }
+            Err(e) => panic!("counter update failed: {e}"),
         }
-        engine.abort(&mut txn).expect("abort of active transaction");
-        false
     }
 
     /// Fires a fire-and-forget proactive round when the demand-adaptive
@@ -1508,20 +1508,6 @@ impl SiteWorker {
             .zip(&self.demand)
         {
             *weight = (demand / total).max(1e-6);
-        }
-    }
-
-    fn engine_rmw(&self, obj: &ObjId, f: impl FnOnce(i64) -> i64) -> Result<(), EngineError> {
-        let engine = &*self.engine;
-        let mut txn = engine.begin();
-        match engine.read(&txn, obj.as_str()) {
-            Ok(value) => engine
-                .write(&txn, obj.as_str(), f(value))
-                .and_then(|()| engine.commit(&mut txn)),
-            Err(e) => {
-                engine.abort(&mut txn).ok();
-                Err(e)
-            }
         }
     }
 
@@ -2293,6 +2279,54 @@ mod tests {
         let outcomes = workers[0].take_completed();
         assert_eq!(outcomes, vec![OpOutcome::local_commit()]);
         assert_eq!(workers[0].engine().peek(stock(0).as_str()), 99);
+    }
+
+    #[test]
+    fn an_open_lock_holder_leaves_counter_ops_uncommitted_and_then_clears() {
+        let mut workers = cluster(2);
+        register(&mut workers, &stock(0), 100, 1);
+        let engine = workers[0].engine().clone();
+        // An open transaction reads the counter: it holds a shared lock.
+        let mut holder = engine.begin();
+        assert_eq!(engine.read(&holder, stock(0).as_str()), Ok(100));
+        let mut out = Outbox::new();
+        workers[0].submit_batch(
+            [
+                SiteOp::Increment {
+                    obj: stock(0),
+                    amount: 3,
+                },
+                SiteOp::Order {
+                    obj: stock(0),
+                    amount: 1,
+                    refill_to: Some(99),
+                },
+            ],
+            &mut out,
+        );
+        assert!(out.is_empty(), "a held counter sent {out:?}");
+        assert_eq!(
+            workers[0].take_completed(),
+            vec![OpOutcome::default(), OpOutcome::default()],
+            "both ops complete uncommitted while the lock is held"
+        );
+        assert_eq!(engine.peek(stock(0).as_str()), 100);
+        engine.commit(&mut holder).unwrap();
+        // Neither op left a lock of its own behind.
+        submit(
+            &mut workers,
+            0,
+            SiteOp::Order {
+                obj: stock(0),
+                amount: 1,
+                refill_to: Some(99),
+            },
+        );
+        assert_eq!(workers[0].take_completed(), vec![OpOutcome::local_commit()]);
+        assert_eq!(engine.peek(stock(0).as_str()), 99);
+        engine
+            .write_logged(stock(0).as_str(), 98)
+            .expect("no transaction holds the counter any more");
     }
 
     #[test]
